@@ -149,8 +149,9 @@ func BenchmarkPortfolio(b *testing.B) {
 		"portfolio3": portfolio.Must(portfolio.PaperPortfolio3()),
 	} {
 		b.Run(name, func(b *testing.B) {
+			var pool sat.Pool
 			for i := 0; i < b.N; i++ {
-				winner, _, err := portfolio.Run(g, w, members, 0)
+				winner, _, err := portfolio.Run(context.Background(), g, w, members, portfolio.Options{Pool: &pool})
 				if err != nil || winner.Status != sat.Unsat {
 					b.Fatalf("%v %v", winner.Status, err)
 				}
@@ -179,7 +180,7 @@ func benchSharedPortfolio(b *testing.B, shared bool) {
 		if shared {
 			opts.Share = &share.Options{}
 		}
-		winner, all, err := portfolio.RunHardened(context.Background(), g, w, lanes, opts)
+		winner, all, err := portfolio.Run(context.Background(), g, w, lanes, opts)
 		if err != nil || winner.Status != sat.Unsat {
 			b.Fatalf("%v %v", winner.Status, err)
 		}

@@ -26,7 +26,7 @@ import (
 	"time"
 
 	"fpgasat/internal/core"
-	"fpgasat/internal/graph"
+	"fpgasat/internal/experiments"
 	"fpgasat/internal/mcnc"
 	"fpgasat/internal/obs"
 	"fpgasat/internal/sat"
@@ -77,23 +77,14 @@ func main() {
 				in.Name, chi.Chi, chi.Probes, *timeout)
 		}
 
-		stFastU, dFastU, err := solveGraph(fast, g, chi.Chi-1, *timeout)
-		if err != nil {
-			log.Fatal(err)
-		}
-		stSlowU, dSlowU, err := solveGraph(slow, g, chi.Chi-1, *timeout)
-		if err != nil {
-			log.Fatal(err)
-		}
-		stFastS, dFastS, err := solveGraph(fast, g, chi.Chi, *timeout)
-		if err != nil {
-			log.Fatal(err)
-		}
+		fastU := experiments.RunStrategy(g, chi.Chi-1, fast, 0, *timeout, nil)
+		slowU := experiments.RunStrategy(g, chi.Chi-1, slow, 0, *timeout, nil)
+		fastS := experiments.RunStrategy(g, chi.Chi, fast, 0, *timeout, nil)
 		fmt.Printf("%-10s %6d %7d %4d %4d %4d | %10.2fs%c %10.2fs%c %10.2fs%c\n",
 			in.Name, g.N(), g.M(), chi.LowerBound, chi.UpperBound, chi.Chi,
-			dFastU.Seconds(), mark(stFastU, sat.Unsat),
-			dSlowU.Seconds(), mark(stSlowU, sat.Unsat),
-			dFastS.Seconds(), mark(stFastS, sat.Sat))
+			fastU.Total().Seconds(), mark(fastU.Status, sat.Unsat),
+			slowU.Total().Seconds(), mark(slowU.Status, sat.Unsat),
+			fastS.Total().Seconds(), mark(fastS.Status, sat.Sat))
 		if chi.Chi != in.RoutableW {
 			fmt.Printf("  !! registry says RoutableW=%d but measured chi=%d\n", in.RoutableW, chi.Chi)
 			exit = 1
@@ -112,21 +103,6 @@ func main() {
 		}
 	}
 	os.Exit(exit)
-}
-
-// solveGraph encodes and solves one (strategy, graph, k) configuration
-// from scratch with a wall-clock timeout — the single-shot baseline the
-// indicative timing columns report.
-func solveGraph(s core.Strategy, g *graph.Graph, k int, timeout time.Duration) (sat.Status, time.Duration, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	start := time.Now()
-	enc := s.EncodeGraph(g, k)
-	st, _, err := enc.SolveContext(ctx, sat.Options{})
-	if err != nil {
-		return st, time.Since(start), fmt.Errorf("%s k=%d: %w", s.Name(), k, err)
-	}
-	return st, time.Since(start), nil
 }
 
 func mark(got, want sat.Status) byte {

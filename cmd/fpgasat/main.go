@@ -270,7 +270,7 @@ func runPortfolio(gr *fpga.GlobalRouting, g *graph.Graph, w int, timeout time.Du
 		members = fpgasat.ReplicateStrategies(members, shareLanes)
 	}
 	span := reg.StartSpan("pipeline.solve")
-	winner, all, err := session.PortfolioHardened(ctx, g, w, members, opts)
+	winner, all, err := session.Portfolio(ctx, g, w, members, opts)
 	span.End()
 	fmt.Println("portfolio strategies:")
 	for _, r := range all {

@@ -25,8 +25,8 @@ import (
 	"time"
 
 	"fpgasat/internal/core"
+	"fpgasat/internal/experiments"
 	"fpgasat/internal/fpga"
-	"fpgasat/internal/graph"
 	"fpgasat/internal/mcnc"
 	"fpgasat/internal/sat"
 )
@@ -75,26 +75,17 @@ func main() {
 				fmt.Printf("  seed %-6d V=%-4d E=%-5d chi=? (timeout)\n", gen.Seed, g.N(), g.M())
 				continue
 			}
-			tSlow, stSlow, err := timeSolve(slow, g, chi.Chi-1, *capT)
-			if err != nil {
-				log.Fatal(err)
-			}
+			tSlow := experiments.RunStrategy(g, chi.Chi-1, slow, 0, *capT, nil)
 			mark := " "
-			if stSlow == sat.Unknown || tSlow >= *minHard {
+			if tSlow.Status == sat.Unknown || tSlow.Total() >= *minHard {
 				mark = "*"
 			}
-			tF1, _, err := timeSolve(fastPair[0], g, chi.Chi-1, *capT)
-			if err != nil {
-				log.Fatal(err)
-			}
-			tF2, _, err := timeSolve(fastPair[1], g, chi.Chi-1, *capT)
-			if err != nil {
-				log.Fatal(err)
-			}
+			tF1 := experiments.RunStrategy(g, chi.Chi-1, fastPair[0], 0, *capT, nil)
+			tF2 := experiments.RunStrategy(g, chi.Chi-1, fastPair[1], 0, *capT, nil)
 			fmt.Printf("  seed %-6d V=%-4d E=%-5d clq=%d chi=%d | muldirect/-: %8.2fs%s %s  [%s: %.2fs, %s: %.2fs]\n",
 				gen.Seed, g.N(), g.M(), chi.LowerBound, chi.Chi,
-				tSlow.Seconds(), timeoutSuffix(stSlow), mark,
-				fastPair[0].Name(), tF1.Seconds(), fastPair[1].Name(), tF2.Seconds())
+				tSlow.Total().Seconds(), timeoutSuffix(tSlow.Status), mark,
+				fastPair[0].Name(), tF1.Total().Seconds(), fastPair[1].Name(), tF2.Total().Seconds())
 		}
 	}
 }
@@ -105,20 +96,6 @@ func mustStrategy(s string) core.Strategy {
 		log.Fatal(err)
 	}
 	return st
-}
-
-// timeSolve runs one fresh single-shot solve under a wall-clock cap —
-// the baseline measurement the seed selection is based on.
-func timeSolve(s core.Strategy, g *graph.Graph, k int, cap time.Duration) (time.Duration, sat.Status, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), cap)
-	defer cancel()
-	start := time.Now()
-	enc := s.EncodeGraph(g, k)
-	st, _, err := enc.SolveContext(ctx, sat.Options{})
-	if err != nil {
-		return time.Since(start), st, fmt.Errorf("%s k=%d: %w", s.Name(), k, err)
-	}
-	return time.Since(start), st, nil
 }
 
 func timeoutSuffix(st sat.Status) string {

@@ -100,16 +100,16 @@ func ExampleSession_minWidth() {
 	// coloring verified: true
 }
 
-// ExampleSession_portfolioHardened races the paper's 3-strategy
-// portfolio under full supervision: panic isolation, and paranoid
-// verification of the answer (Sat models re-checked against the
-// conflict edges, Unsat answers replayed through the DRAT checker).
-func ExampleSession_portfolioHardened() {
+// ExampleSession_Portfolio races the paper's 3-strategy portfolio
+// under full supervision: panic isolation, and paranoid verification
+// of the answer (Sat models re-checked against the conflict edges,
+// Unsat answers replayed through the DRAT checker).
+func ExampleSession_Portfolio() {
 	sess := fpgasat.NewSession(nil)
 	g, _ := fpgasat.ParseGraphDIMACS(strings.NewReader(
 		"p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"))
 	strategies, _ := fpgasat.PaperPortfolio3()
-	win, all, err := sess.PortfolioHardened(context.Background(), g, 2, strategies,
+	win, all, err := sess.Portfolio(context.Background(), g, 2, strategies,
 		fpgasat.PortfolioOptions{Verify: true, VerifyUnsat: true})
 	if err != nil {
 		panic(err)

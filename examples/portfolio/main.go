@@ -50,12 +50,12 @@ func main() {
 		fmt.Printf("  %-28s %8.3fs  %v\n", m.Name(), time.Since(start).Seconds(), status)
 	}
 
-	// The context-based runner with a metrics registry: per-strategy
+	// The portfolio run with a metrics registry: per-strategy
 	// encode/solve telemetry plus the winner margin (the cancellation
 	// latency the losers pay).
 	reg := obs.NewRegistry()
 	start := time.Now()
-	winner, all, err := portfolio.RunObserved(context.Background(), conflict, w, members, reg)
+	winner, all, err := portfolio.Run(context.Background(), conflict, w, members, portfolio.Options{Metrics: reg})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func main() {
 
 	// The same machinery also answers satisfiable questions: at W+1 the
 	// instance is routable and the winner supplies the routing.
-	winner, _, err = portfolio.RunObserved(context.Background(), conflict, w+1, members, reg)
+	winner, _, err = portfolio.Run(context.Background(), conflict, w+1, members, portfolio.Options{Metrics: reg})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -110,10 +110,11 @@ type (
 	Instance = mcnc.Instance
 	// PortfolioResult is one strategy's outcome within a portfolio run.
 	PortfolioResult = portfolio.Result
-	// PortfolioOptions configure a hardened portfolio run: paranoid
-	// answer verification, per-lane watchdog timeouts, budgeted
-	// retries, per-lane seeding and clause sharing (see
-	// RunPortfolioHardened).
+	// PortfolioOptions configure a portfolio run: telemetry, the lane
+	// solver pool, paranoid answer verification, per-lane watchdog
+	// timeouts, budgeted retries, per-lane seeding and clause sharing
+	// (see RunPortfolio). The zero value is a plain race on fresh
+	// solvers.
 	PortfolioOptions = portfolio.Options
 	// ShareOptions configure the learnt-clause exchange of a clause-
 	// sharing portfolio (export filter, ring size, import budget, seed,
@@ -389,50 +390,24 @@ func Benchmarks() []Instance { return mcnc.Instances() }
 // BenchmarkByName looks up one benchmark instance.
 func BenchmarkByName(name string) (Instance, error) { return mcnc.ByName(name) }
 
-// NewMetrics returns an empty observability registry to pass to the
-// *Observed API variants and instrumented pipeline stages.
+// NewMetrics returns an empty observability registry to pass to
+// NewSession, PortfolioOptions.Metrics and instrumented pipeline
+// stages.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
-// SolveCNF runs the CDCL solver on a formula; stop (optional) cancels.
-//
-// Deprecated for new code: prefer SolveCNFContext, which accepts a
-// context.Context instead of a raw channel.
-func SolveCNF(c *CNF, opts SolverOptions, stop <-chan struct{}) SolveResult {
-	return sat.SolveCNF(c, opts, stop)
-}
-
-// SolveCNFContext is SolveCNF with context-based cancellation: the
-// solve returns Unknown promptly once ctx is cancelled or its deadline
-// passes.
+// SolveCNFContext runs the CDCL solver on a formula. The solve returns
+// Unknown promptly once ctx is cancelled or its deadline passes.
 func SolveCNFContext(ctx context.Context, c *CNF, opts SolverOptions) SolveResult {
 	return sat.SolveCNFContext(ctx, c, opts)
 }
 
 // RunPortfolio solves the k-coloring of g with all strategies in
-// parallel, first definite answer wins (Sect. 6).
-func RunPortfolio(g *Graph, k int, strategies []Strategy, timeout time.Duration) (PortfolioResult, []PortfolioResult, error) {
-	return portfolio.Run(g, k, strategies, timeout)
-}
-
-// RunPortfolioContext is RunPortfolio with caller-controlled
-// cancellation (use context.WithTimeout for the classic timeout).
-func RunPortfolioContext(ctx context.Context, g *Graph, k int, strategies []Strategy) (PortfolioResult, []PortfolioResult, error) {
-	return portfolio.RunContext(ctx, g, k, strategies)
-}
-
-// RunPortfolioObserved is RunPortfolioContext with per-strategy
-// telemetry (encode/solve timers, CNF sizes, wins, winner margin)
-// recorded into m, which may be nil.
-func RunPortfolioObserved(ctx context.Context, g *Graph, k int, strategies []Strategy, m *Metrics) (PortfolioResult, []PortfolioResult, error) {
-	return portfolio.RunObserved(ctx, g, k, strategies, m)
-}
-
-// RunPortfolioHardened is RunPortfolioObserved with the full
-// supervision layer: panic-isolated lanes, optional answer
-// self-checking ("paranoid mode"), per-lane watchdog timeouts and
-// budgeted retries, all configured through opts.
-func RunPortfolioHardened(ctx context.Context, g *Graph, k int, strategies []Strategy, opts PortfolioOptions) (PortfolioResult, []PortfolioResult, error) {
-	return portfolio.RunHardened(ctx, g, k, strategies, opts)
+// parallel, first definite answer wins (Sect. 6). The run ends early
+// when ctx is cancelled or its deadline passes. Every lane is
+// panic-isolated; opts adds telemetry, a solver pool, paranoid answer
+// checking, per-lane watchdogs, budgeted retries and clause sharing.
+func RunPortfolio(ctx context.Context, g *Graph, k int, strategies []Strategy, opts PortfolioOptions) (PortfolioResult, []PortfolioResult, error) {
+	return portfolio.Run(ctx, g, k, strategies, opts)
 }
 
 // PaperPortfolio3 returns the paper's three-strategy portfolio.

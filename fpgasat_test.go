@@ -103,7 +103,9 @@ func TestPublicAPIBenchmarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	winner, _, err := fpgasat.RunPortfolio(g, in.RoutableW, fpgasat.MustStrategies(fpgasat.PaperPortfolio3()), time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	winner, _, err := fpgasat.RunPortfolio(ctx, g, in.RoutableW, fpgasat.MustStrategies(fpgasat.PaperPortfolio3()), fpgasat.PortfolioOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +149,8 @@ func TestPublicAPIObservability(t *testing.T) {
 	metrics := fpgasat.NewMetrics()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	winner, all, err := fpgasat.RunPortfolioObserved(ctx, conflict, ub, fpgasat.MustStrategies(fpgasat.PaperPortfolio3()), metrics)
+	winner, all, err := fpgasat.RunPortfolio(ctx, conflict, ub, fpgasat.MustStrategies(fpgasat.PaperPortfolio3()),
+		fpgasat.PortfolioOptions{Metrics: metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +193,10 @@ func TestPublicAPIObservability(t *testing.T) {
 
 // TestPublicAPIBandwidth drives the bandwidth-coloring flow through
 // the facade: a weighted graph built from a distance edge stream,
-// solved by the bandwidth portfolio through a Session, minimized with
-// the incremental width search under the order encoding, and
-// round-tripped through weighted DIMACS.
+// solved by the bandwidth portfolio through a Session (zero options:
+// lanes draw from the session pool and record into its registry),
+// minimized with the incremental width search under the order
+// encoding, and round-tripped through weighted DIMACS.
 func TestPublicAPIBandwidth(t *testing.T) {
 	// A distance-2 5-cycle: chromatic number 3, bandwidth minimum 5
 	// (e.g. colors 0 2 0 2 4).
@@ -207,11 +211,31 @@ func TestPublicAPIBandwidth(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	session := fpgasat.NewSession(nil)
+	metrics := fpgasat.NewMetrics()
+	session := fpgasat.NewSession(metrics)
 	lanes := fpgasat.MustStrategies(fpgasat.BandwidthPortfolio())
-	winner, _, err := session.Portfolio(ctx, g, 5, lanes)
+	gets := session.PoolStats().Gets
+	winner, all, err := session.Portfolio(ctx, g, 5, lanes, fpgasat.PortfolioOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A lane cancelled before it encoded never takes a solver; every
+	// lane that ran must have drawn its solver from the session pool.
+	ran := 0
+	for _, r := range all {
+		if r.Vars > 0 {
+			ran++
+		}
+	}
+	if got := session.PoolStats().Gets - gets; ran == 0 || got != int64(ran) {
+		t.Fatalf("session pool handed out %d solvers to %d running lanes (of %d)", got, ran, len(lanes))
+	}
+	snap := metrics.Snapshot()
+	if snap.Timers["portfolio.solve."+winner.Strategy.Name()].Count == 0 {
+		t.Fatalf("session registry missing the winner's solve timer: %+v", snap.Timers)
+	}
+	if snap.Gauges[fpgasat.MetricPoolSolvers] != int64(ran) {
+		t.Fatalf("%s = %d, want %d", fpgasat.MetricPoolSolvers, snap.Gauges[fpgasat.MetricPoolSolvers], ran)
 	}
 	if winner.Status != fpgasat.Sat {
 		t.Fatalf("bandwidth portfolio at width 5: %v", winner.Status)

@@ -150,27 +150,11 @@ func (e *Streamed) DecodeVerify(model []bool) ([]int, error) {
 	return colors, nil
 }
 
-// Solve encodes nothing further: it runs the CDCL solver on the CNF
-// and, when satisfiable, decodes and verifies the coloring. The stop
-// channel (may be nil) cancels the solve when closed.
-//
-// Deprecated for new code: prefer SolveContext, which accepts a
-// context.Context instead of a raw channel.
-func (e *Encoded) Solve(opts sat.Options, stop <-chan struct{}) (sat.Status, []int, error) {
-	return e.decodeResult(sat.SolveCNF(e.CNF, opts, stop))
-}
-
-// SolveContext is Solve with context-based cancellation: the solve
-// returns Unknown promptly once ctx is cancelled or its deadline
-// passes.
+// SolveContext runs the CDCL solver on the CNF and, when satisfiable,
+// decodes and verifies the coloring. The solve returns Unknown
+// promptly once ctx is cancelled or its deadline passes.
 func (e *Encoded) SolveContext(ctx context.Context, opts sat.Options) (sat.Status, []int, error) {
 	return e.decodeResult(sat.SolveCNFContext(ctx, e.CNF, opts))
-}
-
-// SolveReusing is SolveContext on a pooled solver (see sat.Pool); a
-// nil pool falls back to a fresh solver.
-func (e *Encoded) SolveReusing(ctx context.Context, pool *sat.Pool, opts sat.Options) (sat.Status, []int, error) {
-	return e.decodeResult(sat.SolveCNFReusing(ctx, pool, e.CNF, opts))
 }
 
 func (e *Encoded) decodeResult(res sat.Result) (sat.Status, []int, error) {

@@ -23,8 +23,8 @@ type PortfolioConfig struct {
 	// (encode/solve timers, CNF sizes, wins, winner margin).
 	Obs *obs.Registry
 	// Pool, when non-nil, supplies reusable solvers to the single-
-	// strategy baseline and every portfolio lane; nil keeps the
-	// portfolio's default lane pool and fresh baseline solvers.
+	// strategy baseline and every portfolio lane; nil solves on fresh
+	// solvers throughout.
 	Pool *sat.Pool
 	// Verify and VerifyUnsat enable paranoid-mode answer checking of
 	// every portfolio run; LaneTimeout and MaxRetries configure the
@@ -80,9 +80,6 @@ func RunPortfolio(cfg PortfolioConfig) (*PortfolioResult, error) {
 		LaneTimeout: cfg.LaneTimeout,
 		MaxRetries:  cfg.MaxRetries,
 	}
-	if laneOpts.Pool == nil {
-		laneOpts.Pool = portfolio.DefaultLanePool()
-	}
 	res := &PortfolioResult{}
 	for _, in := range cfg.Instances {
 		g, translate, err := BuildInstance(in)
@@ -102,7 +99,7 @@ func RunPortfolio(cfg PortfolioConfig) (*PortfolioResult, error) {
 			if cfg.Timeout > 0 {
 				ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
 			}
-			winner, _, err := portfolio.RunHardened(ctx, g, w, members, laneOpts)
+			winner, _, err := portfolio.Run(ctx, g, w, members, laneOpts)
 			cancel()
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s portfolio: %w", in.Name, err)

@@ -121,7 +121,7 @@ func RunShareComparison(cfg ShareCompareConfig) (*ShareCompareResult, error) {
 					ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
 				}
 				start := time.Now()
-				winner, all, err := portfolio.RunHardened(ctx, g, w, lanes, opts)
+				winner, all, err := portfolio.Run(ctx, g, w, lanes, opts)
 				elapsed := time.Since(start)
 				cancel()
 				if err != nil {

@@ -93,7 +93,9 @@ func raceWidth(t *testing.T, in Instance, w int, timeout time.Duration) sat.Stat
 	if err != nil {
 		t.Fatal(err)
 	}
-	winner, _, err := portfolio.Run(g, w, portfolio.Must(portfolio.PaperPortfolio3()), timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	winner, _, err := portfolio.Run(ctx, g, w, portfolio.Must(portfolio.PaperPortfolio3()), portfolio.Options{})
 	if err != nil {
 		t.Fatalf("%s W=%d: %v", in.Name, w, err)
 	}

@@ -24,7 +24,7 @@ import (
 	"fpgasat/internal/share"
 )
 
-// Robustness metric names emitted by RunHardened (and by RunMinWidth
+// Robustness metric names emitted by Run (and by RunMinWidth
 // for lane panics).
 const (
 	// MetricPanics counts portfolio lanes (decision and width-search)
@@ -42,12 +42,9 @@ const (
 	// MetricAbandoned counts lanes that stayed unresponsive one full
 	// LaneTimeout past cancellation and were abandoned by the watchdog.
 	MetricAbandoned = "robust.watchdog.abandoned"
-	// MetricPoolOversized counts solvers the lane pool dropped instead
-	// of retaining because their footprint exceeded the pool cap.
-	MetricPoolOversized = "sat.reset.oversized"
 )
 
-// Clause-sharing metric names emitted by RunHardened when Options.Share
+// Clause-sharing metric names emitted by Run when Options.Share
 // is set, mirroring share.Stats.
 const (
 	MetricShareExported   = "portfolio.share.exported"
@@ -58,14 +55,15 @@ const (
 	MetricShareRejected   = "portfolio.share.rejected"
 )
 
-// Options configures a hardened portfolio run. The zero value
-// reproduces the classic first-answer-wins behaviour: fresh solvers,
-// no telemetry, no paranoid checks, no retries, no watchdog.
+// Options configures a portfolio run. The zero value is the classic
+// first-answer-wins race: fresh solvers, no telemetry, no paranoid
+// checks, no retries, no watchdog.
 type Options struct {
 	// Metrics receives per-strategy telemetry and the robustness
 	// counters; nil disables telemetry.
 	Metrics *obs.Registry
-	// Pool supplies lane solvers (nil builds fresh ones). A lane that
+	// Pool supplies lane solvers (nil builds fresh ones). The pool's
+	// owner publishes its gauges; Run only draws from it. A lane that
 	// panics abandons its solver instead of returning it to the pool.
 	Pool *sat.Pool
 	// Solver is the base solver configuration of every lane; its
@@ -123,13 +121,19 @@ type laneSetup struct {
 	share *share.Lane
 }
 
-// RunHardened is RunPooled with the full supervision layer: panic
-// isolation per lane, optional answer self-checking, budgeted retries
-// and a lane watchdog, all configured through opts. The first
-// error-free definite answer wins and cancels the rest; a soundness
-// violation caught by paranoid mode fails the whole run loudly, like
-// the Sat/Unsat-disagreement guard it extends.
-func RunHardened(ctx context.Context, g *graph.Graph, k int, strategies []core.Strategy, opts Options) (Result, []Result, error) {
+// Run solves the k-coloring of g with all strategies concurrently.
+// The first error-free definite answer wins and cancels the rest (they
+// report Unknown); the run also ends early when ctx is cancelled or
+// its deadline passes. It returns the winning result and the
+// per-strategy results in input order.
+//
+// Every lane runs under the supervision layer: panic isolation, and,
+// as opts configures them, answer self-checking, budgeted retries and
+// a lane watchdog. An error is returned if no strategy produced an
+// answer, if two strategies produced contradictory definite answers,
+// or if paranoid mode caught a soundness violation — an encoding bug
+// must not be masked by crowning the faster lane.
+func Run(ctx context.Context, g *graph.Graph, k int, strategies []core.Strategy, opts Options) (Result, []Result, error) {
 	if len(strategies) == 0 {
 		return Result{}, nil, fmt.Errorf("portfolio: no strategies")
 	}
@@ -235,14 +239,6 @@ collect:
 			}
 			break collect
 		}
-	}
-	if opts.Metrics != nil && opts.Pool != nil {
-		ps := opts.Pool.Stats()
-		opts.Metrics.Gauge(MetricPoolGets).Set(ps.Gets)
-		opts.Metrics.Gauge(MetricPoolReuses).Set(ps.Reuses)
-		opts.Metrics.Gauge(MetricArenaWords).Set(ps.ArenaWords)
-		opts.Metrics.Gauge(MetricArenaCap).Set(ps.ArenaCapWords)
-		opts.Metrics.Gauge(MetricPoolOversized).Set(ps.Oversized)
 	}
 	if ex != nil && opts.Metrics != nil {
 		// Sampled at decision time: lanes still draining after an early

@@ -36,7 +36,7 @@ func TestPanickingLaneDoesNotChangeAnswer(t *testing.T) {
 		k := 2 + rng.Intn(4)
 		_, want, _ := coloring.KColorable(g, k, 0)
 
-		winner, all, err := RunHardened(context.Background(), g, k, strategies, Options{Metrics: reg})
+		winner, all, err := Run(context.Background(), g, k, strategies, Options{Metrics: reg})
 		if err != nil {
 			t.Fatalf("trial %d: portfolio failed despite two healthy lanes: %v", trial, err)
 		}
@@ -92,7 +92,7 @@ func TestPanickingAndStallingLanes(t *testing.T) {
 		_, want, _ := coloring.KColorable(g, k, 0)
 
 		start := time.Now()
-		winner, all, err := RunHardened(context.Background(), g, k, strategies, Options{
+		winner, all, err := Run(context.Background(), g, k, strategies, Options{
 			Metrics:     reg,
 			LaneTimeout: 200 * time.Millisecond,
 		})
@@ -135,7 +135,7 @@ func TestAllLanesPanicSurfacesPanicError(t *testing.T) {
 	robust.SetFailpoint(robust.FPPortfolioLane, func(args ...any) { panic("injected") })
 	t.Cleanup(func() { robust.ClearFailpoint(robust.FPPortfolioLane) })
 
-	_, _, err := RunHardened(context.Background(), graph.Complete(4), 4, Must(PaperPortfolio2()), Options{})
+	_, _, err := Run(context.Background(), graph.Complete(4), 4, Must(PaperPortfolio2()), Options{})
 	if err == nil {
 		t.Fatal("all-lanes-crashed run reported success")
 	}
@@ -162,7 +162,7 @@ func TestVerifyCatchesUnsoundSatAnswer(t *testing.T) {
 	t.Cleanup(func() { robust.ClearFailpoint(robust.FPPortfolioLaneResult) })
 
 	reg := obs.NewRegistry()
-	_, _, err := RunHardened(context.Background(), g, 5, strategies, Options{Metrics: reg, Verify: true})
+	_, _, err := Run(context.Background(), g, 5, strategies, Options{Metrics: reg, Verify: true})
 	se, ok := robust.AsSoundness(err)
 	if !ok {
 		t.Fatalf("corrupted Sat answer not caught: err = %v", err)
@@ -190,7 +190,7 @@ func TestVerifyUnsatCatchesFlippedStatus(t *testing.T) {
 	})
 	t.Cleanup(func() { robust.ClearFailpoint(robust.FPPortfolioLaneResult) })
 
-	_, _, err := RunHardened(context.Background(), g, 4, strategies, Options{VerifyUnsat: true})
+	_, _, err := Run(context.Background(), g, 4, strategies, Options{VerifyUnsat: true})
 	se, ok := robust.AsSoundness(err)
 	if !ok {
 		t.Fatalf("lying Unsat answer not caught: err = %v", err)
@@ -207,11 +207,11 @@ func TestVerifyHappyPaths(t *testing.T) {
 	reg := obs.NewRegistry()
 	opts := Options{Metrics: reg, Verify: true, VerifyUnsat: true}
 
-	winner, _, err := RunHardened(context.Background(), graph.Complete(5), 5, strategies, opts)
+	winner, _, err := Run(context.Background(), graph.Complete(5), 5, strategies, opts)
 	if err != nil || winner.Status != sat.Sat {
 		t.Fatalf("K5/5: %v %v", winner.Status, err)
 	}
-	winner, _, err = RunHardened(context.Background(), graph.Complete(5), 4, strategies, opts)
+	winner, _, err = Run(context.Background(), graph.Complete(5), 4, strategies, opts)
 	if err != nil || winner.Status != sat.Unsat {
 		t.Fatalf("K5/4: %v %v", winner.Status, err)
 	}
@@ -231,7 +231,7 @@ func TestRetryEscalatesBudget(t *testing.T) {
 	strategies := Must(PaperPortfolio2())[:1]
 	g := graph.Complete(7) // K7 with 6 colors: needs a real refutation
 	reg := obs.NewRegistry()
-	winner, all, err := RunHardened(context.Background(), g, 6, strategies, Options{
+	winner, all, err := Run(context.Background(), g, 6, strategies, Options{
 		Metrics:    reg,
 		Solver:     sat.Options{ConflictBudget: 1},
 		MaxRetries: 30,
@@ -254,7 +254,7 @@ func TestRetryEscalatesBudget(t *testing.T) {
 // end (the schedule arithmetic itself is tested in package robust).
 func TestRetryLubySchedule(t *testing.T) {
 	strategies := Must(PaperPortfolio2())[:1]
-	winner, all, err := RunHardened(context.Background(), graph.Complete(6), 5, strategies, Options{
+	winner, all, err := Run(context.Background(), graph.Complete(6), 5, strategies, Options{
 		Solver:        sat.Options{ConflictBudget: 1},
 		MaxRetries:    64,
 		RetrySchedule: robust.LubyRetry,
@@ -275,7 +275,7 @@ func TestRetryLubySchedule(t *testing.T) {
 // crash or a spin.
 func TestBudgetExhaustionWithoutRetriesStaysUnknown(t *testing.T) {
 	strategies := Must(PaperPortfolio2())[:1]
-	_, all, err := RunHardened(context.Background(), graph.Complete(7), 6, strategies, Options{
+	_, all, err := Run(context.Background(), graph.Complete(7), 6, strategies, Options{
 		Solver: sat.Options{ConflictBudget: 1},
 	})
 	if err == nil {
@@ -286,21 +286,33 @@ func TestBudgetExhaustionWithoutRetriesStaysUnknown(t *testing.T) {
 	}
 }
 
-// TestRunPooledStillAgreesWithExact pins the delegation of the classic
-// entry points through the hardened runner.
-func TestRunPooledStillAgreesWithExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+// TestRunPoolAgreesWithExact pins the answers of a run on fresh lane
+// solvers (nil pool) and on a caller-owned pool that its lanes draw
+// from.
+func TestRunPoolAgreesWithExact(t *testing.T) {
 	strategies := Must(PaperPortfolio2())
-	for trial := 0; trial < 5; trial++ {
-		g := graph.Random(rng, 6+rng.Intn(8), 0.5)
-		k := 2 + rng.Intn(4)
-		_, want, _ := coloring.KColorable(g, k, 0)
-		winner, _, err := RunPooled(context.Background(), g, k, strategies, nil, &lanePool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (winner.Status == sat.Sat) != want {
-			t.Fatalf("trial %d: %v vs exact sat=%v", trial, winner.Status, want)
-		}
+	var owned sat.Pool
+	for _, tc := range []struct {
+		name string
+		pool *sat.Pool
+	}{{"nil pool", nil}, {"owned pool", &owned}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			for trial := 0; trial < 5; trial++ {
+				g := graph.Random(rng, 6+rng.Intn(8), 0.5)
+				k := 2 + rng.Intn(4)
+				_, want, _ := coloring.KColorable(g, k, 0)
+				winner, _, err := Run(context.Background(), g, k, strategies, Options{Pool: tc.pool})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (winner.Status == sat.Sat) != want {
+					t.Fatalf("trial %d: %v vs exact sat=%v", trial, winner.Status, want)
+				}
+			}
+		})
+	}
+	if owned.Stats().Gets == 0 {
+		t.Fatal("owned-pool run never drew a solver from its pool")
 	}
 }

@@ -44,11 +44,12 @@ type WidthResult struct {
 // on the final Unsat proof does not win on partial progress.
 //
 // opts.Strategy, opts.Metrics and opts.MetricSuffix are overridden per
-// member (the suffix becomes the strategy name); opts.Pool is shared by
-// all members and defaults to the package lane pool, so sequential runs
-// reuse lane solvers. Two members that both complete but disagree on
-// the minimum width indicate an unsound encoding and surface as a loud
-// error, mirroring Run's Sat/Unsat disagreement guard.
+// member (the suffix becomes the strategy name); opts.Pool, when
+// non-nil, is shared by all members so sequential runs reuse lane
+// solvers, and nil gives every member a fresh solver. Two members that
+// both complete but disagree on the minimum width indicate an unsound
+// encoding and surface as a loud error, mirroring Run's Sat/Unsat
+// disagreement guard.
 func RunMinWidth(ctx context.Context, g *graph.Graph, opts search.Options, strategies []core.Strategy, reg *obs.Registry) (WidthResult, []WidthResult, error) {
 	if len(strategies) == 0 {
 		return WidthResult{}, nil, fmt.Errorf("portfolio: no strategies")
@@ -56,9 +57,6 @@ func RunMinWidth(ctx context.Context, g *graph.Graph, opts search.Options, strat
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	if opts.Pool == nil {
-		opts.Pool = &lanePool
-	}
 	results := make([]WidthResult, len(strategies))
 	var wg sync.WaitGroup
 	for i, s := range strategies {

@@ -8,17 +8,14 @@
 package portfolio
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"fpgasat/internal/core"
-	"fpgasat/internal/graph"
-	"fpgasat/internal/obs"
 	"fpgasat/internal/sat"
 )
 
-// Metric names emitted by RunObserved. Per-strategy metrics append
+// Metric names emitted by Run. Per-strategy metrics append
 // "." plus the strategy name (e.g. "portfolio.solve.ITE-log/s1").
 const (
 	MetricEncode       = "portfolio.encode"           // timer: CNF generation per strategy
@@ -27,13 +24,6 @@ const (
 	MetricCNFClauses   = "portfolio.cnf_clauses"      // gauge per strategy
 	MetricWins         = "portfolio.wins"             // counter per strategy
 	MetricWinnerMargin = "portfolio.winner_margin_ns" // gauge: runner-up lag behind the winner
-	// Solver-reuse metrics of the lane pool (see sat.Pool): cumulative
-	// solver hand-outs, how many were recycled instances, and the arena
-	// footprint sample of the most recently returned solver.
-	MetricPoolGets   = "sat.reset.solvers"
-	MetricPoolReuses = "sat.reset.count"
-	MetricArenaWords = "sat.arena.words"
-	MetricArenaCap   = "sat.arena.cap_words"
 )
 
 // Result is the outcome of one strategy within a portfolio run.
@@ -57,65 +47,6 @@ type Result struct {
 	// *robust.SoundnessError from paranoid mode, or a
 	// *robust.PanicError when the lane crashed and was isolated.
 	Err error
-}
-
-// Run solves the k-coloring of g with all strategies concurrently.
-// The first strategy to reach Sat or Unsat wins and the others are
-// cancelled (they report Unknown). A zero timeout means no timeout.
-// It returns the winning result and the per-strategy results in input
-// order. An error is returned if no strategy produced an answer, or if
-// two strategies produced contradictory definite answers (an encoding
-// soundness bug that must not be masked by crowning the faster one).
-func Run(g *graph.Graph, k int, strategies []core.Strategy, timeout time.Duration) (Result, []Result, error) {
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	return RunContext(ctx, g, k, strategies)
-}
-
-// RunContext is Run with caller-controlled cancellation: the run ends
-// early when ctx is cancelled or its deadline passes (use
-// context.WithTimeout for the classic timeout behaviour).
-func RunContext(ctx context.Context, g *graph.Graph, k int, strategies []core.Strategy) (Result, []Result, error) {
-	return RunObserved(ctx, g, k, strategies, nil)
-}
-
-// RunObserved is RunContext with per-strategy telemetry recorded into
-// reg (which may be nil): encode and solve timers, CNF size gauges,
-// win counters and the winner margin — how long after the winner the
-// next definite answer (or cancelled loser) finished, i.e. the
-// cancellation latency the portfolio pays.
-func RunObserved(ctx context.Context, g *graph.Graph, k int, strategies []core.Strategy, reg *obs.Registry) (Result, []Result, error) {
-	return RunPooled(ctx, g, k, strategies, reg, &lanePool)
-}
-
-// lanePool is the package-default solver pool shared by portfolio runs
-// that do not bring their own: sequential runs (width sweeps, batch
-// experiments) then reuse lane solvers across runs.
-var lanePool sat.Pool
-
-// PoolStats returns the solver-reuse counters of the package-default
-// lane pool.
-func PoolStats() sat.PoolStats { return lanePool.Stats() }
-
-// DefaultLanePool returns the package-default lane pool, for callers
-// that configure a hardened run (RunHardened) but want the shared
-// solver-reuse behaviour of RunObserved.
-func DefaultLanePool() *sat.Pool { return &lanePool }
-
-// RunPooled is RunObserved drawing each lane's solver from the given
-// pool (nil falls back to fresh solvers), so callers that own a
-// long-lived pool — a facade Session serving many requests — carry
-// solver capacity across runs. Lanes are panic-isolated (a crashing
-// lane surfaces a *robust.PanicError in its Result and the run
-// degrades to the survivors); the further supervision features —
-// paranoid answer checking, budgeted retries, watchdog timeouts — are
-// reached through RunHardened.
-func RunPooled(ctx context.Context, g *graph.Graph, k int, strategies []core.Strategy, reg *obs.Registry, pool *sat.Pool) (Result, []Result, error) {
-	return RunHardened(ctx, g, k, strategies, Options{Metrics: reg, Pool: pool})
 }
 
 // combine selects the winner (the fastest error-free definite answer)
@@ -225,7 +156,7 @@ func BandwidthPortfolio() ([]core.Strategy, error) {
 
 // Replicate expands each strategy into n copies, interleaved so a
 // truncated prefix stays balanced. The copies are identical strategy
-// values: under a hardened run with a Seed they diversify through
+// values: under a run with a Seed they diversify through
 // per-lane solver seeds, and with sharing enabled they form one
 // clause-exchange group — the configuration where a cooperating
 // portfolio beats a blind race of the same lanes.

@@ -22,7 +22,7 @@ func TestRunAgreesWithExact(t *testing.T) {
 		g := graph.Random(rng, 6+rng.Intn(10), 0.4+rng.Float64()*0.4)
 		k := 2 + rng.Intn(4)
 		_, want, _ := coloring.KColorable(g, k, 0)
-		winner, all, err := Run(g, k, strategies, 0)
+		winner, all, err := Run(context.Background(), g, k, strategies, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestRunCancelsLosers(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	winner, all, err := Run(g, 7, strategies, 0)
+	winner, all, err := Run(context.Background(), g, 7, strategies, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,9 @@ func TestRunTimeout(t *testing.T) {
 	// strategy can answer.
 	rng := rand.New(rand.NewSource(5))
 	g := graph.Random(rng, 120, 0.5)
-	if _, _, err := Run(g, 9, Must(PaperPortfolio2()), time.Microsecond); err == nil {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Microsecond)
+	defer cancel()
+	if _, _, err := Run(ctx, g, 9, Must(PaperPortfolio2()), Options{}); err == nil {
 		t.Skip("instance solved within a microsecond; timeout path not exercised")
 	}
 }
@@ -129,13 +131,13 @@ func TestCombineIgnoresErroredAndUnknown(t *testing.T) {
 var errBroken = fmt.Errorf("broken strategy")
 
 // TestRunTelemetryPopulated asserts that every strategy's Result
-// carries per-stage telemetry and that RunObserved mirrors it into the
+// carries per-stage telemetry and that Run mirrors it into the
 // registry.
 func TestRunTelemetryPopulated(t *testing.T) {
 	g := graph.Complete(6)
 	strategies := Must(PaperPortfolio3())
 	reg := obs.NewRegistry()
-	winner, all, err := RunObserved(context.Background(), g, 6, strategies, reg)
+	winner, all, err := Run(context.Background(), g, 6, strategies, Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,10 +178,10 @@ func TestRunTelemetryPopulated(t *testing.T) {
 	}
 }
 
-func TestRunContextPreCancelled(t *testing.T) {
+func TestRunPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, all, err := RunContext(ctx, graph.Complete(8), 7, Must(PaperPortfolio3()))
+	_, all, err := Run(ctx, graph.Complete(8), 7, Must(PaperPortfolio3()), Options{})
 	if err == nil {
 		t.Fatal("pre-cancelled context produced an answer")
 	}
@@ -191,7 +193,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 }
 
 func TestRunEmptyStrategies(t *testing.T) {
-	if _, _, err := Run(graph.New(1), 1, nil, 0); err == nil {
+	if _, _, err := Run(context.Background(), graph.New(1), 1, nil, Options{}); err == nil {
 		t.Fatal("empty portfolio accepted")
 	}
 }

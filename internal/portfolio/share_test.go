@@ -44,7 +44,7 @@ func TestSharedPortfolioAgreesWithExact(t *testing.T) {
 		k := 2 + rng.Intn(4)
 		_, want, _ := coloring.KColorable(g, k, 0)
 
-		winner, _, err := RunHardened(context.Background(), g, k, strategies, Options{
+		winner, _, err := Run(context.Background(), g, k, strategies, Options{
 			Metrics:     reg,
 			Seed:        int64(trial + 1),
 			Share:       &share.Options{},
@@ -92,7 +92,7 @@ func TestShareExportPanicIsolated(t *testing.T) {
 	t.Cleanup(func() { robust.ClearFailpoint(robust.FPShareExport) })
 
 	reg := obs.NewRegistry()
-	winner, all, err := RunHardened(context.Background(), graph.Complete(7), 6, strategies, Options{
+	winner, all, err := Run(context.Background(), graph.Complete(7), 6, strategies, Options{
 		Metrics: reg,
 		Seed:    3,
 		Share:   &share.Options{},
@@ -157,7 +157,7 @@ func TestShareCorruptionCaughtByVerify(t *testing.T) {
 		// Deterministic lockstep forces imports to actually happen: each
 		// lane consumes its peers' round-r exports before starting round
 		// r+1, instead of racing tiny instances to the finish line.
-		winner, _, err := RunHardened(context.Background(), g, k, strategies, Options{
+		winner, _, err := Run(context.Background(), g, k, strategies, Options{
 			Seed:        int64(trial + 1),
 			Share:       &share.Options{Deterministic: true},
 			Solver:      sat.Options{RestartBase: 1},
@@ -185,7 +185,7 @@ func TestShareCorruptionCaughtByVerify(t *testing.T) {
 }
 
 // TestDeterministicPortfolioReplay: the deterministic exchange mode must
-// compose with the full hardened runner — two seeded runs on the same
+// compose with the full supervision layer of Run — two seeded runs on the same
 // unroutable instance both answer Unsat with no error and with sharing
 // engaged (lane scheduling may still vary, but lockstep rounds must not
 // deadlock under cancellation).
@@ -193,7 +193,7 @@ func TestDeterministicPortfolioReplay(t *testing.T) {
 	strategies := Replicate(Must(PaperPortfolio2())[:1], 3)
 	for run := 0; run < 2; run++ {
 		reg := obs.NewRegistry()
-		winner, _, err := RunHardened(context.Background(), graph.Complete(7), 6, strategies, Options{
+		winner, _, err := Run(context.Background(), graph.Complete(7), 6, strategies, Options{
 			Metrics: reg,
 			Seed:    5,
 			Share:   &share.Options{Deterministic: true},

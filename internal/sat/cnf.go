@@ -83,7 +83,7 @@ func (s *Solver) Load(c *CNF) bool {
 	return true
 }
 
-// Result bundles the outcome of SolveCNF.
+// Result bundles the outcome of SolveCNFContext or SolveCNFReusing.
 type Result struct {
 	Status Status
 	// Model, for Sat results, maps DIMACS variable v (1-based) to
@@ -92,17 +92,16 @@ type Result struct {
 	Stats Stats
 	// Err is set by supervised wrappers (e.g. Session.SolveCNF) when
 	// the solve failed abnormally — typically a *robust.PanicError from
-	// a crashed solve; Status is Unknown in that case. The plain
-	// SolveCNF* functions leave it nil.
+	// a crashed solve; Status is Unknown in that case. SolveCNFContext
+	// and SolveCNFReusing leave it nil.
 	Err error
 }
 
-// SolveCNFContext is SolveCNF with context-based cancellation: the
-// solve returns Unknown promptly once ctx is cancelled or its deadline
-// passes. This is the preferred cancellation API; the stop-channel
-// parameter of SolveCNF is retained for backward compatibility.
+// SolveCNFContext loads the formula into a fresh solver with the given
+// options and solves it. The solve returns Unknown promptly once ctx is
+// cancelled or its deadline passes.
 func SolveCNFContext(ctx context.Context, c *CNF, opts Options) Result {
-	return solveCNFOn(New(opts), c, ctx.Done())
+	return solveCNFOn(ctx, New(opts), c)
 }
 
 // SolveCNFReusing is SolveCNFContext on a pooled solver: the solver is
@@ -114,29 +113,18 @@ func SolveCNFReusing(ctx context.Context, pool *Pool, c *CNF, opts Options) Resu
 		return SolveCNFContext(ctx, c, opts)
 	}
 	s := pool.Get(opts)
-	res := solveCNFOn(s, c, ctx.Done())
+	res := solveCNFOn(ctx, s, c)
 	// Deliberately not deferred: a panicking solve must abandon the
 	// solver rather than return its corrupted state to the pool.
 	pool.Put(s)
 	return res
 }
 
-// SolveCNF is a convenience wrapper: load the formula into a fresh
-// solver with the given options and solve it. The stop channel, when
-// non-nil, cancels the solve when closed (used by portfolio runs).
-//
-// Deprecated for new code: prefer SolveCNFContext, which accepts a
-// context.Context instead of a raw channel.
-func SolveCNF(c *CNF, opts Options, stop <-chan struct{}) Result {
-	return solveCNFOn(New(opts), c, stop)
-}
-
-// solveCNFOn loads the formula into s and solves it, with optional
-// stop-channel cancellation. The watcher goroutine is joined before
-// returning so that a late Stop can never land on a solver that has
-// already been handed to another solve (essential once solvers are
-// pooled and reused).
-func solveCNFOn(s *Solver, c *CNF, stop <-chan struct{}) Result {
+// solveCNFOn loads the formula into s and solves it, cancelled by ctx.
+// The watcher goroutine is joined before returning so that a late Stop
+// can never land on a solver that has already been handed to another
+// solve (essential once solvers are pooled and reused).
+func solveCNFOn(ctx context.Context, s *Solver, c *CNF) Result {
 	if !s.Load(c) {
 		// Refuted during loading (conflicting units at level 0). Solve
 		// on the refuted database is a cheap no-op that still closes
@@ -145,7 +133,7 @@ func solveCNFOn(s *Solver, c *CNF, stop <-chan struct{}) Result {
 		return Result{Status: s.Solve(), Stats: s.Stats}
 	}
 	var st Status
-	if stop != nil {
+	if stop := ctx.Done(); stop != nil {
 		done := make(chan struct{})
 		exited := make(chan struct{})
 		go func() {

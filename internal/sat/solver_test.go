@@ -192,26 +192,6 @@ func TestConflictBudgetReturnsUnknown(t *testing.T) {
 	}
 }
 
-// TestStopCancelsSolve is the regression test for the deprecated
-// stop-channel wrapper; everything else in the repo uses the
-// context-based API.
-func TestStopCancelsSolve(t *testing.T) {
-	cnf := php(11, 10) // hard enough to run for a while
-	stop := make(chan struct{})
-	done := make(chan Result, 1)
-	go func() { done <- SolveCNF(cnf, Options{}, stop) }()
-	time.Sleep(5 * time.Millisecond)
-	close(stop)
-	select {
-	case res := <-done:
-		if res.Status == Sat {
-			t.Fatalf("PHP(11,10) reported Sat")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("solver did not stop after cancellation")
-	}
-}
-
 func TestStopBeforeSolve(t *testing.T) {
 	s := New(Options{})
 	s.Load(php(8, 7))

@@ -13,7 +13,7 @@
 // than buffering unboundedly — callers are expected to back off and
 // retry, which keeps tail latency honest under overload.
 //
-// Every job runs through portfolio.RunHardened, so the daemon inherits
+// Every job runs through portfolio.Run, so the daemon inherits
 // the whole supervision stack: panic-isolated lanes, paranoid answer
 // verification, budgeted conflict-budget retries and per-lane
 // watchdogs. The per-job deadline becomes a context deadline on the
@@ -962,7 +962,7 @@ func (s *Server) JobCount() int { return s.jobs.len() }
 // worker drains one shard's queues — interactive strictly before
 // batch — until Drain closes them. Each job runs under the server's
 // base context capped by the job deadline; the solve itself is
-// supervised by portfolio.RunHardened, and the worker loop itself is a
+// supervised by portfolio.Run, and the worker loop itself is a
 // panic boundary: a crash in the serve layer fails the one job (and
 // feeds the shard's breaker) instead of killing the process.
 func (s *Server) worker(sh *shard) {
@@ -1123,7 +1123,7 @@ func (s *Server) runJob(sh *shard, job *Job) {
 	popts := job.popts
 	popts.Pool = &sh.pool
 	span := s.reg.StartSpan(MetricSolve)
-	winner, all, err := portfolio.RunHardened(ctx, job.g, job.width, job.strategies, popts)
+	winner, all, err := portfolio.Run(ctx, job.g, job.width, job.strategies, popts)
 	elapsed := span.End()
 	deadlineExceeded := ctx.Err() == context.DeadlineExceeded
 	cancel()
@@ -1179,7 +1179,7 @@ func supervisionFailure(err error, all []portfolio.Result) bool {
 			return true
 		}
 		// The watchdog reports abandonment as a plain error (see
-		// portfolio.RunHardened); match its fixed message.
+		// portfolio.Run); match its fixed message.
 		return strings.Contains(e.Error(), "abandoned by watchdog")
 	}
 	if check(err) {

@@ -256,6 +256,53 @@ func cliqueDIMACS(n int) string {
 	return b.String()
 }
 
+// TestScrapePoolGaugesPerShard is the regression test for pool gauges
+// leaking out of the portfolio layer: each shard owns its solver pool,
+// so only the per-shard serve.pool.* gauges may report it. An
+// unsuffixed sat.reset.* or sat.arena.* gauge would describe whichever
+// shard's job happened to finish last.
+func TestScrapePoolGaugesPerShard(t *testing.T) {
+	s := newTestServer(t, Options{Shards: []ShardConfig{
+		{Name: "small", MaxVertices: 10, Workers: 1, QueueDepth: 8},
+		{Name: "large", MaxVertices: 0, Workers: 1, QueueDepth: 8},
+	}})
+	var jobs []*Job
+	for _, req := range []SolveRequest{
+		{Graph: triangleCol, Width: 3, Portfolio: true},
+		{Graph: cliqueDIMACS(12), Width: 12, Portfolio: true},
+		{Graph: triangleCol, Width: 2, Portfolio: true},
+	} {
+		j, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		if v := waitDone(t, j); v.State != StateDone || v.Error != "" {
+			t.Fatalf("job %s: state %s error %q", j.ID, v.State, v.Error)
+		}
+	}
+	snap := s.Scrape()
+	for name := range snap.Gauges {
+		if strings.HasPrefix(name, "sat.reset.") || strings.HasPrefix(name, "sat.arena.") {
+			t.Errorf("scrape carries unsuffixed pool gauge %s = %d", name, snap.Gauges[name])
+		}
+	}
+	for _, sh := range s.shards {
+		ps := sh.pool.Stats()
+		if ps.Gets == 0 {
+			t.Errorf("shard %s: pool never used", sh.cfg.Name)
+		}
+		if got := snap.Gauges[MetricPoolGets+"."+sh.cfg.Name]; got != ps.Gets {
+			t.Errorf("%s.%s = %d, want the shard pool's %d", MetricPoolGets, sh.cfg.Name, got, ps.Gets)
+		}
+		if got := snap.Gauges[MetricPoolReuses+"."+sh.cfg.Name]; got != ps.Reuses {
+			t.Errorf("%s.%s = %d, want the shard pool's %d", MetricPoolReuses, sh.cfg.Name, got, ps.Reuses)
+		}
+	}
+}
+
 func TestJobGC(t *testing.T) {
 	s := newTestServer(t, Options{
 		RetainJobs: 10 * time.Millisecond,

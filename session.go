@@ -163,27 +163,18 @@ func (s *Session) MinWidth(ctx context.Context, g *Graph, opts SearchOptions) (*
 	return res, err
 }
 
-// Portfolio races the strategies on the k-coloring of g with every
-// lane drawing its solver from the session pool; telemetry goes to the
-// session's metrics registry.
-func (s *Session) Portfolio(ctx context.Context, g *Graph, k int, strategies []Strategy) (PortfolioResult, []PortfolioResult, error) {
-	win, all, err := portfolio.RunPooled(ctx, g, k, strategies, s.metrics, &s.pool)
-	s.recordPoolMetrics()
-	return win, all, err
-}
-
-// PortfolioHardened is Portfolio with the full supervision layer
-// (paranoid answer checking, per-lane watchdogs, budgeted retries)
-// configured through opts; opts.Metrics and opts.Pool default to the
-// session's registry and pool.
-func (s *Session) PortfolioHardened(ctx context.Context, g *Graph, k int, strategies []Strategy, opts PortfolioOptions) (PortfolioResult, []PortfolioResult, error) {
+// Portfolio races the strategies on the k-coloring of g (see
+// RunPortfolio). opts.Pool and opts.Metrics default to the session's
+// pool and registry, so every lane draws its solver from the session
+// pool and records its telemetry into the session's metrics.
+func (s *Session) Portfolio(ctx context.Context, g *Graph, k int, strategies []Strategy, opts PortfolioOptions) (PortfolioResult, []PortfolioResult, error) {
 	if opts.Metrics == nil {
 		opts.Metrics = s.metrics
 	}
 	if opts.Pool == nil {
 		opts.Pool = &s.pool
 	}
-	win, all, err := portfolio.RunHardened(ctx, g, k, strategies, opts)
+	win, all, err := portfolio.Run(ctx, g, k, strategies, opts)
 	s.recordPoolMetrics()
 	return win, all, err
 }

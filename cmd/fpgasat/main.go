@@ -153,54 +153,51 @@ func main() {
 		return
 	}
 
-	var st sat.Status
-	var colors []int
-	if *cnfOut == "" && *proof == "" {
-		// Hot path: stream the encoding straight into a pooled session
-		// solver — no intermediate CNF is materialized.
-		st, colors = solveStreamed(g, *w, s, *timeout)
-	} else {
+	var enc *core.Encoded
+	if *cnfOut != "" || *proof != "" {
 		// -cnf and -proof need the materialized formula (to write it
-		// out, and to check the DRAT certificate against it).
+		// out, and to check the DRAT certificate against it). The solve
+		// below streams the same clauses in the same order, so its
+		// proof checks against this formula.
 		span = reg.StartSpan("pipeline.encode")
-		enc := s.EncodeGraph(g, *w)
+		enc = s.EncodeGraph(g, *w)
 		span.End()
 		reg.Gauge("pipeline.cnf_vars").Set(int64(enc.CNF.NumVars))
 		reg.Gauge("pipeline.cnf_clauses").Set(int64(enc.CNF.NumClauses()))
-		if *cnfOut != "" {
-			if err := writeCnf(*cnfOut, enc.CNF); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote CNF to %s (%d vars, %d clauses)\n",
-				*cnfOut, enc.CNF.NumVars, enc.CNF.NumClauses())
+	}
+	if *cnfOut != "" {
+		if err := writeCnf(*cnfOut, enc.CNF); err != nil {
+			log.Fatal(err)
 		}
+		fmt.Printf("wrote CNF to %s (%d vars, %d clauses)\n",
+			*cnfOut, enc.CNF.NumVars, enc.CNF.NumClauses())
+	}
 
-		opts := solverOptions()
-		var proofFile *os.File
-		if *proof != "" {
-			proofFile, err = os.Create(*proof)
+	opts := solverOptions()
+	var proofFile *os.File
+	if *proof != "" {
+		proofFile, err = os.Create(*proof)
+		if err != nil {
+			log.Fatal(err)
+		}
+		opts.ProofWriter = proofFile
+	}
+	st, colors := solveStreamed(g, *w, s, opts, *timeout)
+	if proofFile != nil {
+		if err := proofFile.Close(); err != nil {
+			log.Fatal(err)
+		}
+		if st == sat.Unsat {
+			pf, err := os.Open(*proof)
 			if err != nil {
 				log.Fatal(err)
 			}
-			opts.ProofWriter = proofFile
-		}
-		st, colors = solveWith(enc, opts, *timeout)
-		if proofFile != nil {
-			if err := proofFile.Close(); err != nil {
-				log.Fatal(err)
+			err = sat.CheckDRAT(enc.CNF, pf)
+			pf.Close()
+			if err != nil {
+				log.Fatalf("unroutability certificate failed verification: %v", err)
 			}
-			if st == sat.Unsat {
-				pf, err := os.Open(*proof)
-				if err != nil {
-					log.Fatal(err)
-				}
-				err = sat.CheckDRAT(enc.CNF, pf)
-				pf.Close()
-				if err != nil {
-					log.Fatalf("unroutability certificate failed verification: %v", err)
-				}
-				fmt.Printf("unroutability certificate written to %s and verified (DRAT)\n", *proof)
-			}
+			fmt.Printf("unroutability certificate written to %s and verified (DRAT)\n", *proof)
 		}
 	}
 	switch st {
@@ -353,7 +350,7 @@ func dumpMetrics(trace bool, metricsOut string) {
 // encoding streams into a pooled solver's clause arena and the solver
 // returns to the pool afterwards, carrying its capacity to the next
 // solve in this process.
-func solveStreamed(g *graph.Graph, w int, s core.Strategy, timeout time.Duration) (sat.Status, []int) {
+func solveStreamed(g *graph.Graph, w int, s core.Strategy, opts sat.Options, timeout time.Duration) (sat.Status, []int) {
 	ctx := context.Background()
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -362,32 +359,13 @@ func solveStreamed(g *graph.Graph, w int, s core.Strategy, timeout time.Duration
 	}
 	start := time.Now()
 	span := reg.StartSpan("pipeline.solve")
-	st, colors, err := session.SolveGraph(ctx, g, w, s, solverOptions())
+	st, colors, err := session.SolveGraph(ctx, g, w, s, opts)
 	span.End()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("SAT solve: %v (streamed into pooled solver) -> %v\n",
 		time.Since(start).Round(time.Millisecond), st)
-	return st, colors
-}
-
-func solveWith(enc *core.Encoded, opts sat.Options, timeout time.Duration) (sat.Status, []int) {
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	start := time.Now()
-	span := reg.StartSpan("pipeline.solve")
-	st, colors, err := enc.SolveContext(ctx, opts)
-	span.End()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("SAT solve: %v (%d vars, %d clauses) -> %v\n",
-		time.Since(start).Round(time.Millisecond), enc.CNF.NumVars, enc.CNF.NumClauses(), st)
 	return st, colors
 }
 

@@ -14,6 +14,7 @@ import (
 	"fpgasat/internal/core"
 	"fpgasat/internal/graph"
 	"fpgasat/internal/mcnc"
+	"fpgasat/internal/portfolio"
 	"fpgasat/internal/sat"
 )
 
@@ -22,55 +23,49 @@ import (
 // translation to CNF + SAT solving" accounting.
 type Timing struct {
 	Translate time.Duration // netlist -> global routing -> conflict graph
-	Encode    time.Duration // symmetry breaking + CNF generation
-	Solve     time.Duration
+	Encode    time.Duration // symmetry breaking + CNF generation into the solver
+	Solve     time.Duration // SAT solving, plus decode and verify for Sat
 	Status    sat.Status
 	Conflicts int64
-	Vars      int
-	Clauses   int
 }
 
 // Total returns the end-to-end time, the quantity Table 2 reports.
 func (t Timing) Total() time.Duration { return t.Translate + t.Encode + t.Solve }
 
-// RunStrategy times one strategy on a prebuilt conflict graph. The
+// RunStrategy times one strategy on a prebuilt conflict graph as a
+// one-strategy portfolio run: the encoding streams into the solver,
+// and a Sat model is decoded and verified inside the solve time. The
 // translate duration is supplied by the caller (it is shared across
 // strategies, but the paper charges it to every run, so we do too).
 // A zero timeout means no timeout. pool, when non-nil, supplies the
 // solver, so a sweep reuses clause-arena and watch-list capacity
-// between runs; nil solves on a fresh solver.
+// between runs; nil solves on a fresh solver. A lane failure (an
+// invalid model, a crashed solve) panics.
 func RunStrategy(g *graph.Graph, k int, s core.Strategy, translate time.Duration, timeout time.Duration, pool *sat.Pool) Timing {
-	encStart := time.Now()
-	enc := s.EncodeGraph(g, k)
-	encDur := time.Since(encStart)
+	r := solveOne(g, k, s, timeout, portfolio.Options{Pool: pool})
+	if r.Err != nil {
+		panic(fmt.Sprintf("experiments: %s: %v", s.Name(), r.Err))
+	}
+	return Timing{
+		Translate: translate,
+		Encode:    r.EncodeTime,
+		Solve:     r.SolveTime,
+		Status:    r.Status,
+		Conflicts: r.Stats.Conflicts,
+	}
+}
 
+// solveOne solves the k-coloring of g under s as a one-strategy
+// portfolio run, bounded by timeout (0 = none).
+func solveOne(g *graph.Graph, k int, s core.Strategy, timeout time.Duration, opts portfolio.Options) portfolio.Result {
 	ctx := context.Background()
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	solveStart := time.Now()
-	res := sat.SolveCNFReusing(ctx, pool, enc.CNF, sat.Options{})
-	solveDur := time.Since(solveStart)
-
-	// For satisfiable results, decoding and verification are part of
-	// the flow's correctness guarantee; include them in solve time.
-	if res.Status == sat.Sat {
-		if _, err := enc.DecodeVerify(res.Model); err != nil {
-			panic(fmt.Sprintf("experiments: %s produced an invalid model: %v", s.Name(), err))
-		}
-		solveDur = time.Since(solveStart)
-	}
-	return Timing{
-		Translate: translate,
-		Encode:    encDur,
-		Solve:     solveDur,
-		Status:    res.Status,
-		Conflicts: res.Stats.Conflicts,
-		Vars:      enc.CNF.NumVars,
-		Clauses:   enc.CNF.NumClauses(),
-	}
+	_, all, _ := portfolio.Run(ctx, g, k, []core.Strategy{s}, opts)
+	return all[0]
 }
 
 // BuildInstance regenerates an instance's conflict graph, returning it

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -403,5 +404,50 @@ func TestTable2TimeoutRendering(t *testing.T) {
 	// both are.
 	if !strings.ContainsAny(md, "≥≤~") {
 		t.Fatalf("speedup bound marker missing:\n%s", md)
+	}
+}
+
+// TestRunStrategyMatchesMaterializedSolve pins that RunStrategy, which
+// streams the encoding into a pooled solver, answers exactly like the
+// materialized path (core.Encode then sat.SolveCNFContext) that DIMACS
+// export and the benchmark use: same status, same conflict count.
+func TestRunStrategyMatchesMaterializedSolve(t *testing.T) {
+	type config struct {
+		instance string
+		strategy string
+	}
+	var configs []config
+	for _, name := range []string{"term1", "9symml", "tseng", "alu2"} {
+		for _, s := range []string{"muldirect/-", "ITE-linear-2+muldirect/s1", "log/-"} {
+			configs = append(configs, config{name, s})
+		}
+	}
+	configs = append(configs, config{mcnc.DistanceInstances()[0].Name, "order"})
+	// Symmetry-free refutations of alu2 take seconds per solve (31k and
+	// 82k conflicts); every other configuration solves in milliseconds.
+	slow := map[config]bool{{"alu2", "muldirect/-"}: true, {"alu2", "log/-"}: true}
+	var pool sat.Pool
+	for _, c := range configs {
+		in, err := mcnc.ByName(c.instance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, g, err := in.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := mustStrategy(t, c.strategy)
+		for _, w := range []int{in.RoutableW, in.UnroutableW()} {
+			if w < in.RoutableW && slow[c] {
+				continue
+			}
+			got := RunStrategy(g, w, s, 0, 0, &pool)
+			enc := core.Encode(core.BuildCSP(g, w, s.Symmetry), s.Encoding)
+			want := sat.SolveCNFContext(context.Background(), enc.CNF, sat.Options{})
+			if got.Status != want.Status || got.Conflicts != want.Stats.Conflicts {
+				t.Errorf("%s W=%d %s: streamed %v/%d conflicts, materialized %v/%d",
+					c.instance, w, c.strategy, got.Status, got.Conflicts, want.Status, want.Stats.Conflicts)
+			}
+		}
 	}
 }

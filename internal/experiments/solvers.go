@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -9,6 +8,7 @@ import (
 
 	"fpgasat/internal/core"
 	"fpgasat/internal/mcnc"
+	"fpgasat/internal/portfolio"
 	"fpgasat/internal/sat"
 )
 
@@ -78,20 +78,15 @@ func RunSolverCompare(cfg SolverCompareConfig) (*SolverCompareResult, error) {
 				{in.UnroutableW(), sat.Unsat, unsatRow, &res.UnsatTotal[pi]},
 				{in.RoutableW, sat.Sat, satRow, &res.SatTotal[pi]},
 			} {
-				enc := strategy.EncodeGraph(g, side.w)
-				ctx := context.Background()
-				if cfg.Timeout > 0 {
-					var cancel context.CancelFunc
-					ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-					defer cancel()
+				r := solveOne(g, side.w, strategy, cfg.Timeout, portfolio.Options{Pool: cfg.Pool, Solver: p.Opts})
+				if r.Err != nil {
+					return nil, fmt.Errorf("experiments: %s W=%d: %w", in.Name, side.w, r.Err)
 				}
-				start := time.Now()
-				r := sat.SolveCNFReusing(ctx, cfg.Pool, enc.CNF, p.Opts)
-				elapsed := time.Since(start)
 				if r.Status != side.want && r.Status != sat.Unknown {
 					return nil, fmt.Errorf("experiments: %s W=%d: got %v, want %v",
 						in.Name, side.w, r.Status, side.want)
 				}
+				elapsed := r.SolveTime
 				side.row[pi] = elapsed
 				*side.tot += elapsed
 				if cfg.Progress != nil {

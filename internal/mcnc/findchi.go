@@ -72,25 +72,17 @@ func FindChi(ctx context.Context, g *graph.Graph, strategies []core.Strategy, pr
 		Hi:           ub,
 		ProbeTimeout: probeTimeout,
 	}
-	var sres *search.Result
-	if len(strategies) == 1 {
-		opts.Strategy = strategies[0]
-		opts.Metrics = reg
-		opts.MetricSuffix = strategies[0].Name()
-		r, err := search.MinWidth(ctx, g, opts)
-		if err != nil {
-			return res, err
-		}
-		sres, res.Strategy = r, strategies[0].Name()
-		res.Elapsed = sumProbeTime(r)
-	} else {
-		win, _, err := portfolio.RunMinWidth(ctx, g, opts, strategies, reg)
-		if err != nil {
-			return res, err
-		}
-		sres, res.Strategy = win.Search, win.Strategy.Name()
-		res.Elapsed = win.Elapsed
+	win, all, err := portfolio.RunMinWidth(ctx, g, opts, strategies, reg)
+	if err != nil && len(all) == 1 && all[0].Err == nil {
+		// A lone search cut short by cancellation or a probe timeout
+		// still bounds chi from above with the widths it routed.
+		win, err = all[0], nil
 	}
+	if err != nil {
+		return res, err
+	}
+	sres := win.Search
+	res.Strategy, res.Elapsed = win.Strategy.Name(), win.Elapsed
 	res.Probes = len(sres.Probes)
 	if sres.MinWidth == 0 {
 		// DSATUR already routed at ub, so the search not finding any
@@ -112,12 +104,4 @@ func FindChi(ctx context.Context, g *graph.Graph, strategies []core.Strategy, pr
 	// and a clique of that size certifies no smaller width exists.
 	res.Proved = sres.ProvedOptimal
 	return res, nil
-}
-
-func sumProbeTime(r *search.Result) time.Duration {
-	d := r.EncodeTime
-	for _, p := range r.Probes {
-		d += p.Duration
-	}
-	return d
 }

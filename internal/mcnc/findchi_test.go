@@ -95,3 +95,29 @@ func TestFindChiNoStrategies(t *testing.T) {
 		t.Fatal("expected an error without strategies")
 	}
 }
+
+// TestFindChiCancelledKeepsBound: a one-strategy search cut short
+// before it completes is not an error; FindChi falls back to the DSATUR
+// coloring as an unproved upper bound.
+func TestFindChiCancelledKeepsBound(t *testing.T) {
+	in, err := ByName("9symml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, g, err := in.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := FindChi(ctx, g, chiStrategies(t, "log/-"), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Proved || res.Chi != res.UpperBound {
+		t.Fatalf("chi=%d proved=%v, want the unproved DSATUR bound %d", res.Chi, res.Proved, res.UpperBound)
+	}
+	if err := core.NewCSP(g, res.Chi).Verify(res.Colors); err != nil {
+		t.Fatalf("fallback coloring invalid: %v", err)
+	}
+}

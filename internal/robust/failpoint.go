@@ -19,7 +19,8 @@ var failpoints sync.Map // name -> func(args ...any)
 // Failpoint names compiled into the pipeline.
 const (
 	// FPPortfolioLane fires at the start of every portfolio lane
-	// attempt with (strategyName string).
+	// attempt with (strategyName string) — including the one lane of
+	// each single-strategy graph solve (Session.SolveGraph).
 	FPPortfolioLane = "portfolio.lane"
 	// FPPortfolioLaneResult fires after a lane produced its result,
 	// before answer self-checking, with (strategyName string,
@@ -29,8 +30,8 @@ const (
 	// FPSearchProbe fires before every width-search probe with
 	// (strategyName string, width int).
 	FPSearchProbe = "search.minwidth.probe"
-	// FPSessionSolve fires at the start of every facade Session solve
-	// with (op string).
+	// FPSessionSolve fires at the start of every facade Session CNF
+	// solve (Session.SolveCNF) with (op string).
 	FPSessionSolve = "session.solve"
 	// FPShareExport fires at the start of every clause-exchange restart
 	// boundary, before the lane publishes its buffered learnt clauses,

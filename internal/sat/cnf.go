@@ -120,10 +120,10 @@ func SolveCNFReusing(ctx context.Context, pool *Pool, c *CNF, opts Options) Resu
 	return res
 }
 
-// solveCNFOn loads the formula into s and solves it, cancelled by ctx.
-// The watcher goroutine is joined before returning so that a late Stop
-// can never land on a solver that has already been handed to another
-// solve (essential once solvers are pooled and reused).
+// solveCNFOn loads the formula into s and solves it, cancelled by ctx
+// through SolveAssumingContext, whose stop watcher is joined before it
+// returns (so a late Stop never lands on a solver already handed to
+// another solve).
 func solveCNFOn(ctx context.Context, s *Solver, c *CNF) Result {
 	if !s.Load(c) {
 		// Refuted during loading (conflicting units at level 0). Solve
@@ -132,30 +132,7 @@ func solveCNFOn(ctx context.Context, s *Solver, c *CNF) Result {
 		// directly would leave a proof that derives nothing.
 		return Result{Status: s.Solve(), Stats: s.Stats}
 	}
-	var st Status
-	if stop := ctx.Done(); stop != nil {
-		done := make(chan struct{})
-		exited := make(chan struct{})
-		go func() {
-			defer close(exited)
-			select {
-			case <-stop:
-				s.Stop()
-			case <-done:
-			}
-		}()
-		st = func() Status {
-			// Deferred so the watcher is joined even when the solve
-			// panics and the panic unwinds through a recover boundary.
-			defer func() {
-				close(done)
-				<-exited
-			}()
-			return s.Solve()
-		}()
-	} else {
-		st = s.Solve()
-	}
+	st := s.SolveAssumingContext(ctx)
 	res := Result{Status: st, Stats: s.Stats}
 	if st == Sat {
 		m := s.Model()

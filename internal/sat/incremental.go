@@ -82,10 +82,13 @@ func (s *Solver) SolveAssumingContext(ctx context.Context, assumps ...Lit) Statu
 		case <-done:
 		}
 	}()
-	st := s.solveWith(assumps)
-	close(done)
-	<-exited
-	return st
+	// Deferred so the watcher is joined even when the solve panics and
+	// the panic unwinds through a recover boundary.
+	defer func() {
+		close(done)
+		<-exited
+	}()
+	return s.solveWith(assumps)
 }
 
 // FailedAssumptions returns the failed-assumption core of the last

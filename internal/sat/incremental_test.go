@@ -246,6 +246,46 @@ func TestSolveAssumingContextStopDoesNotLeak(t *testing.T) {
 	}
 }
 
+// TestPanickingSolveJoinsWatcher: a solve that panics under a live
+// cancellable context must still join its stop watcher on the way out,
+// or every crashed (and recovered) solve strands one goroutine until
+// the context ends.
+func TestPanickingSolveJoinsWatcher(t *testing.T) {
+	crash := Options{Progress: func(Stats) { panic("injected progress crash") }}
+	for _, tc := range []struct {
+		name  string
+		solve func(ctx context.Context)
+	}{
+		{"SolveCNFContext", func(ctx context.Context) { SolveCNFContext(ctx, php(9, 8), crash) }},
+		{"SolveAssumingContext", func(ctx context.Context) {
+			s := New(crash)
+			s.Load(php(9, 8))
+			s.SolveAssumingContext(ctx)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			baseline := runtime.NumGoroutine()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("the Progress callback never fired; the solve did not panic")
+					}
+				}()
+				tc.solve(ctx)
+			}()
+			deadline := time.Now().Add(time.Second)
+			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+			if n := runtime.NumGoroutine(); n > baseline {
+				t.Fatalf("%d goroutines after the panicking solve, %d before: the stop watcher was not joined", n, baseline)
+			}
+		})
+	}
+}
+
 func TestSolveAssumingAlreadyCancelledContext(t *testing.T) {
 	s := New(Options{})
 	s.AddDimacsClause(1)

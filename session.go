@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 
-	"fpgasat/internal/core"
 	"fpgasat/internal/portfolio"
 	"fpgasat/internal/robust"
 	"fpgasat/internal/sat"
@@ -113,39 +112,22 @@ func (s *Session) SolveCNF(ctx context.Context, c *CNF, opts SolverOptions) Solv
 }
 
 // SolveGraph solves the k-coloring of g under one strategy on a pooled
-// solver, streaming the encoding straight into the solver's clause
-// arena (no intermediate CNF). For Sat it returns the verified
-// coloring. The solve is supervised: a panic anywhere in encode, solve
-// or decode comes back as a *robust.PanicError (Status Unknown), and
-// the crashed solver is abandoned instead of returning to the pool.
+// solver: a one-strategy portfolio run, so the encoding streams
+// straight into the solver's clause arena (no intermediate CNF). For
+// Sat it returns the verified coloring; a timeout is Unknown with a nil
+// error. The portfolio lane supervises the solve: a panic anywhere in
+// encode, solve or decode comes back as a *robust.PanicError (Status
+// Unknown) and the crashed solver is abandoned instead of returning to
+// the pool, and a model that fails decode-verification comes back as
+// Unknown with a *robust.SoundnessError.
 func (s *Session) SolveGraph(ctx context.Context, g *Graph, k int, strategy Strategy, opts SolverOptions) (Status, []int, error) {
 	if strategy.Encoding == nil {
 		return Unknown, nil, fmt.Errorf("fpgasat: strategy lacks an encoding")
 	}
-	st := Unknown
-	var colors []int
-	var err error
-	cerr := robust.Capture("session graph solve "+strategy.Name(), func() {
-		robust.Hit(robust.FPSessionSolve, "graph")
-		solver := s.pool.Get(opts)
-		csp := core.BuildCSP(g, k, strategy.Symmetry)
-		enc := core.EncodeInto(csp, strategy.Encoding, sat.SolverSink{S: solver})
-		st = solver.SolveAssumingContext(ctx)
-		if st == Sat {
-			colors, err = enc.DecodeVerify(solver.Model())
-		}
-		// Reached only when the solve did not panic: the solver is
-		// healthy and may be recycled.
-		s.pool.Put(solver)
-	})
-	if cerr != nil {
-		st, colors, err = Unknown, nil, cerr
-	}
+	_, all, _ := portfolio.Run(ctx, g, k, []Strategy{strategy}, portfolio.Options{Pool: &s.pool, Solver: opts})
 	s.recordPoolMetrics()
-	if err != nil {
-		return st, nil, err
-	}
-	return st, colors, nil
+	r := all[0]
+	return r.Status, r.Colors, r.Err
 }
 
 // MinWidth runs the incremental minimum-width search on a pooled

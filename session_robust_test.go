@@ -10,11 +10,11 @@ import (
 )
 
 // TestSessionSolveGraphIsolatesPanic: a crash inside a Session solve
-// must surface as a *PanicError instead of killing the process, and
+// (injected into the portfolio lane that runs it) must surface as a *PanicError instead of killing the process, and
 // the session must stay usable (the crashed solver is abandoned, not
 // returned to the pool).
 func TestSessionSolveGraphIsolatesPanic(t *testing.T) {
-	robust.SetFailpoint(robust.FPSessionSolve, func(args ...any) { panic("injected session crash") })
+	robust.SetFailpoint(robust.FPPortfolioLane, func(args ...any) { panic("injected session crash") })
 	session := fpgasat.NewSession(fpgasat.NewMetrics())
 	g := graph.Complete(4)
 	strategy, err := fpgasat.ParseStrategy("ITE-linear-2+muldirect/s1")
@@ -23,7 +23,7 @@ func TestSessionSolveGraphIsolatesPanic(t *testing.T) {
 	}
 
 	st, colors, err := session.SolveGraph(context.Background(), g, 4, strategy, fpgasat.SolverOptions{})
-	robust.ClearFailpoint(robust.FPSessionSolve)
+	robust.ClearFailpoint(robust.FPPortfolioLane)
 	if _, ok := robust.AsPanic(err); !ok {
 		t.Fatalf("session crash not isolated: st=%v err=%v", st, err)
 	}

@@ -36,6 +36,17 @@ const (
 	PriorityBatch       = "batch"
 )
 
+// Admission classes index a shard's queues and reservation counters;
+// workers drain classInteractive before classBatch.
+const (
+	classInteractive = iota
+	classBatch
+	numClasses
+)
+
+// classNames maps an admission class to its priority name.
+var classNames = [numClasses]string{PriorityInteractive, PriorityBatch}
+
 // admWindow is the number of recent service-time samples kept for the
 // median estimate.
 const admWindow = 64

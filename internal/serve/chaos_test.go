@@ -11,7 +11,9 @@ package serve
 //   - zero duplicated jobs: one idempotency key maps to exactly one
 //     job ID across both incarnations;
 //   - a panic storm trips only the affected shard's breaker while the
-//     other shards keep serving.
+//     other shards keep serving;
+//   - a result is journaled before it is published, and a job that
+//     fails recovery or its done append still finishes exactly once.
 //
 // Everything runs with -race in CI (the chaos-smoke job).
 
@@ -390,5 +392,221 @@ func TestChaosQueueStallSheds(t *testing.T) {
 	}
 	if got := s.reg.Counter(MetricShedSojourn).Value(); int(got) != shed {
 		t.Errorf("%s = %d, want %d", MetricShedSojourn, got, shed)
+	}
+}
+
+// TestRecoverJournalsBeforePublish holds the done record's fsync and
+// checks the result stays unpublished until the append returns: a
+// client must never see an answer a crash could still lose.
+func TestRecoverJournalsBeforePublish(t *testing.T) {
+	s := newTestServer(t, Options{JournalDir: t.TempDir()})
+	held := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var once sync.Once
+	unhold := func() { once.Do(func() { close(release) }) }
+	robust.SetFailpoint(robust.FPJournalSync, func(args ...any) {
+		if args[0] == recDone {
+			select {
+			case held <- struct{}{}:
+			default:
+			}
+			<-release
+		}
+	})
+	t.Cleanup(func() {
+		robust.ClearFailpoint(robust.FPJournalSync)
+		unhold()
+	})
+
+	job, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-held:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the done record never reached its fsync")
+	}
+	select {
+	case <-job.Done():
+		t.Error("Done() closed while the done record's fsync was held")
+	default:
+	}
+	if v := job.View(); v.State == StateDone {
+		t.Errorf("View() shows %s/%s while the done record's fsync was held", v.State, v.Answer)
+	}
+	unhold()
+	if v := waitDone(t, job); v.Answer != AnswerRoutable {
+		t.Errorf("answer %q after the fsync returned, want %s", v.Answer, AnswerRoutable)
+	}
+}
+
+// TestRecoverUnresolvableJobIsJournaled recovers a journaled job whose
+// instance no longer resolves: the first startup fails it like a
+// crashed worker's job (journaled and counted), and the second startup
+// restores that result instead of failing the job again.
+func TestRecoverUnresolvableJobIsJournaled(t *testing.T) {
+	dir := t.TempDir()
+	j, _, _ := openTestJournal(t, dir)
+	rec := journalRecord{Kind: recSubmit, ID: "j00000001", Key: "k1",
+		Req: &SolveRequest{Instance: "no-such-instance"}, At: time.Now()}
+	if err := j.append(rec, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var first []byte
+	for open := 1; open <= 2; open++ {
+		s := newTestServer(t, Options{JournalDir: dir})
+		job, ok := s.jobs.getByKey("k1")
+		if !ok || job.ID != rec.ID {
+			t.Fatalf("open %d: key k1 not bound to %s", open, rec.ID)
+		}
+		v := waitDone(t, job)
+		failed := s.reg.Counter(MetricJobsFailed).Value()
+		restored := s.reg.Counter(MetricJournalRestored).Value()
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if open == 1 {
+			if v.Answer != AnswerUndecided || !strings.HasPrefix(v.Error, "recovery:") {
+				t.Errorf("open 1: view %s/%q, want %s with a recovery: error", v.Answer, v.Error, AnswerUndecided)
+			}
+			if failed != 1 || restored != 0 {
+				t.Errorf("open 1: %s = %d, %s = %d, want 1 and 0", MetricJobsFailed, failed, MetricJournalRestored, restored)
+			}
+			first = raw
+		} else {
+			if string(raw) != string(first) {
+				t.Errorf("open 2 view\n%s\nwant the journaled\n%s", raw, first)
+			}
+			if failed != 0 || restored != 1 {
+				t.Errorf("open 2: %s = %d, %s = %d, want 0 and 1", MetricJobsFailed, failed, MetricJournalRestored, restored)
+			}
+		}
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPriorityInteractiveBeforeQueuedBatch pins the admission classes:
+// with the only worker held, every queued interactive job runs before
+// any batch job still queued, and a full batch queue does not answer
+// 429 to an interactive submit.
+func TestPriorityInteractiveBeforeQueuedBatch(t *testing.T) {
+	const depth = 3
+	s, ts := newHTTPServer(t, Options{
+		Shards: []ShardConfig{{Name: "only", MaxVertices: 0, Workers: 1, QueueDepth: depth}},
+	})
+	held := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var once sync.Once
+	unhold := func() { once.Do(func() { close(release) }) }
+	robust.SetFailpoint(robust.FPServeDequeue, func(args ...any) {
+		select {
+		case held <- struct{}{}:
+		default:
+		}
+		<-release
+	})
+	var mu sync.Mutex
+	rank := map[string]int{} // job ID -> position in run order
+	robust.SetFailpoint(robust.FPServeWorker, func(args ...any) {
+		mu.Lock()
+		rank[args[0].(string)] = len(rank)
+		mu.Unlock()
+	})
+	t.Cleanup(func() {
+		robust.ClearFailpoint(robust.FPServeDequeue)
+		robust.ClearFailpoint(robust.FPServeWorker)
+		unhold()
+	})
+
+	batch := SolveRequest{Graph: triangleCol, Width: 3, Priority: PriorityBatch}
+	running, err := s.Submit(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-held: // the worker took the first batch job and is held
+	case <-time.After(30 * time.Second):
+		t.Fatal("the worker never dequeued")
+	}
+	var queuedBatch, interactive []*Job
+	for i := 0; i < depth; i++ {
+		j, err := s.Submit(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queuedBatch = append(queuedBatch, j)
+	}
+	if code, _ := postSolve(t, ts, batch); code != http.StatusTooManyRequests {
+		t.Fatalf("batch submit to a full batch queue: status %d, want 429", code)
+	}
+	for i := 0; i < depth; i++ {
+		code, raw := postSolve(t, ts, SolveRequest{Graph: triangleCol, Width: 3})
+		if code != http.StatusAccepted {
+			t.Fatalf("interactive submit with the batch queue full: status %d: %s", code, raw)
+		}
+		j, ok := s.Lookup(decodeView(t, raw).ID)
+		if !ok {
+			t.Fatal("accepted interactive job not in the table")
+		}
+		interactive = append(interactive, j)
+	}
+	unhold()
+
+	for _, j := range append(append([]*Job{running}, queuedBatch...), interactive...) {
+		if v := waitDone(t, j); v.Answer != AnswerRoutable {
+			t.Fatalf("job %s answered %q", j.ID, v.Answer)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, ij := range interactive {
+		for _, bj := range queuedBatch {
+			if rank[ij.ID] > rank[bj.ID] {
+				t.Errorf("interactive %s ran at %d, after queued batch %s at %d", ij.ID, rank[ij.ID], bj.ID, rank[bj.ID])
+			}
+		}
+	}
+}
+
+// TestChaosDoneAppendFaultStillFinishesOnce fails the done record's
+// append, by error and by panic: the job is still published with its
+// answer, exactly once, and the panic boundary does not finish it again.
+func TestChaosDoneAppendFaultStillFinishesOnce(t *testing.T) {
+	for _, fault := range []string{"error", "panic"} {
+		t.Run(fault, func(t *testing.T) {
+			s := newTestServer(t, Options{JournalDir: t.TempDir()})
+			robust.SetFailpoint(robust.FPJournalAppend, func(args ...any) {
+				if args[0] != recDone {
+					return
+				}
+				if fault == "panic" {
+					panic("chaos: done append panics")
+				}
+				*(args[1].(*error)) = errors.New("chaos: disk full")
+			})
+			t.Cleanup(func() { robust.ClearFailpoint(robust.FPJournalAppend) })
+
+			job, err := s.Submit(SolveRequest{Graph: triangleCol, Width: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := waitDone(t, job); v.Answer != AnswerRoutable {
+				t.Errorf("answer %q with a failed done append, want %s", v.Answer, AnswerRoutable)
+			}
+			if err := s.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.reg.Counter(MetricJobsCompleted).Value(); got != 1 {
+				t.Errorf("%s = %d, want 1", MetricJobsCompleted, got)
+			}
+		})
 	}
 }

@@ -74,9 +74,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		case errors.As(err, &fullErr):
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(fullErr.RetryAfter)))
 			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
-		case errors.Is(err, ErrQueueFull):
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
 		case errors.As(err, &brkErr):
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(brkErr.RetryAfter)))
 			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
@@ -88,18 +85,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if duplicate {
-		// Idempotent replay of an accepted request: report the bound job.
+		// Idempotent replay of an accepted request: a finished bound job
+		// answers 200, an unfinished one like a fresh submit below.
 		select {
 		case <-job.Done():
 			writeJSON(w, http.StatusOK, job.View())
 			return
 		default:
 		}
-		if !req.Wait {
-			writeJSON(w, http.StatusAccepted, job.View())
-			return
-		}
-		// fall through to the synchronous wait below
 	}
 	if !req.Wait {
 		writeJSON(w, http.StatusAccepted, job.View())

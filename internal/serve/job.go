@@ -149,12 +149,14 @@ type Job struct {
 	wantColors bool
 	deadline   time.Time
 	key        string // idempotency key ("" = none)
-	priority   string // PriorityInteractive or PriorityBatch
+	sh         *shard // size-class shard the job queues on
+	class      int    // admission class: classInteractive or classBatch
 	probe      bool   // this job is a half-open circuit-breaker probe
 
-	mu       sync.Mutex
-	view     JobView
-	finished time.Time
+	mu        sync.Mutex
+	view      JobView
+	finishing bool // claimed by finishJob; view and done follow once journaled
+	finished  time.Time
 
 	done chan struct{}
 }
@@ -186,19 +188,6 @@ type jobTable struct {
 	byID  map[string]*Job
 	byKey map[string]*Job
 	order []*Job
-}
-
-func (t *jobTable) add(j *Job, maxJobs int) {
-	t.mu.Lock()
-	t.byID[j.ID] = j
-	if j.key != "" {
-		t.byKey[j.key] = j
-	}
-	t.order = append(t.order, j)
-	t.mu.Unlock()
-	if maxJobs > 0 {
-		t.gc(time.Time{}, maxJobs)
-	}
 }
 
 // addOrGet registers j unless another job already holds its

@@ -38,7 +38,7 @@ func TestJobTableAddOrGetDedupes(t *testing.T) {
 func TestJobTableRemoveUnbindsKey(t *testing.T) {
 	tab := jobTable{byID: map[string]*Job{}, byKey: map[string]*Job{}}
 	j := doneJob("j1", "k", time.Now())
-	tab.add(j, 0)
+	tab.addOrGet(j, 0)
 	tab.remove(j)
 	if _, ok := tab.get("j1"); ok {
 		t.Error("removed job still resolvable by ID")
@@ -55,8 +55,8 @@ func TestJobTableGCUnbindsKeys(t *testing.T) {
 	tab := jobTable{byID: map[string]*Job{}, byKey: map[string]*Job{}}
 	old := doneJob("j1", "k1", time.Now().Add(-time.Hour))
 	fresh := doneJob("j2", "k2", time.Now())
-	tab.add(old, 0)
-	tab.add(fresh, 0)
+	tab.addOrGet(old, 0)
+	tab.addOrGet(fresh, 0)
 	tab.gc(time.Now().Add(-time.Minute), 0)
 	if _, ok := tab.getByKey("k1"); ok {
 		t.Error("retention GC left the evicted job's key bound")

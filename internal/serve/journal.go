@@ -334,12 +334,16 @@ func writeFrame(w io.Writer, scratch []byte, rec journalRecord) (int64, error) {
 	return int64(8 + len(payload)), nil
 }
 
-// append writes one record, optionally fsyncing before returning.
-// After kill() or Close() it fails: nothing becomes durable once the
-// "process" has died, and an accept path that cannot make its record
-// durable must reject rather than acknowledge. (The advisory start and
-// done writers ignore append errors, so wind-down stays quiet.)
+// append writes one record, optionally fsyncing before returning; on a
+// nil Journal (journaling disabled) it does nothing. After kill() or
+// Close() it fails: nothing becomes durable once the "process" has
+// died, and an accept path that cannot make its record durable must
+// reject rather than acknowledge. (The advisory start and done writers
+// ignore append errors, so wind-down stays quiet.)
 func (j *Journal) append(rec journalRecord, fsync bool) error {
+	if j == nil {
+		return nil
+	}
 	var fperr error
 	robust.Hit(robust.FPJournalAppend, rec.Kind, &fperr)
 	j.mu.Lock()

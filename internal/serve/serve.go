@@ -294,35 +294,30 @@ func (o Options) withDefaults() Options {
 // statistics and its circuit breaker.
 type shard struct {
 	cfg ShardConfig
-	// qi/qb are the interactive and batch queues; ni/nb count reserved
-	// slots (reservation precedes the channel send so the journal can
-	// be written between admission and publication without a full-queue
-	// surprise after the fsync).
-	qi, qb chan *Job
-	ni, nb atomic.Int64
-	pool   sat.Pool
-	busy   atomic.Int64
-	adm    admission
-	brk    *breaker
+	// q holds one queue per admission class; n counts each class's
+	// reserved slots (reservation precedes the channel send so the
+	// journal can be written between admission and publication without a
+	// full-queue surprise after the fsync).
+	q    [numClasses]chan *Job
+	n    [numClasses]atomic.Int64
+	pool sat.Pool
+	busy atomic.Int64
+	adm  admission
+	brk  *breaker
 }
 
 // queued returns the shard's total reserved backlog across both
 // classes.
-func (sh *shard) queued() int { return int(sh.ni.Load() + sh.nb.Load()) }
+func (sh *shard) queued() int { return int(sh.n[classInteractive].Load() + sh.n[classBatch].Load()) }
 
-// reserve claims a queue slot in the given class, returning the
-// reservation counter to release on failure, or nil when the class
-// queue is full.
-func (sh *shard) reserve(priority string) *atomic.Int64 {
-	n, depth := &sh.ni, cap(sh.qi)
-	if priority == PriorityBatch {
-		n, depth = &sh.nb, cap(sh.qb)
+// reserve claims a queue slot in the given class, reporting false when
+// the class queue is full.
+func (sh *shard) reserve(class int) bool {
+	if sh.n[class].Add(1) > int64(cap(sh.q[class])) {
+		sh.n[class].Add(-1)
+		return false
 	}
-	if n.Add(1) > int64(depth) {
-		n.Add(-1)
-		return nil
-	}
-	return n
+	return true
 }
 
 // Server is the serving core: shards, workers, the job table and its
@@ -410,10 +405,9 @@ func NewServer(opts Options) (*Server, error) {
 		jobs:       jobTable{byID: map[string]*Job{}, byKey: map[string]*Job{}},
 	}
 	for i, sc := range shards {
-		sh := &shard{
-			cfg: sc,
-			qi:  make(chan *Job, sc.QueueDepth),
-			qb:  make(chan *Job, sc.QueueDepth),
+		sh := &shard{cfg: sc}
+		for c := range sh.q {
+			sh.q[c] = make(chan *Job, sc.QueueDepth)
 		}
 		if opts.BreakerThreshold > 0 {
 			name := sc.Name
@@ -460,85 +454,41 @@ func NewServer(opts Options) (*Server, error) {
 // restoreRecovered folds the journal's replayed jobs into the server:
 // completed results go straight into the job table (idempotency keys
 // included), accepted-but-unfinished jobs are rebuilt from their
-// journaled requests and returned for re-enqueueing. A pending job
-// whose request no longer resolves (e.g. an instance that left the
-// registry) completes as failed rather than vanishing.
+// journaled requests and returned for re-enqueueing. Their deadlines
+// restart from now — the original absolute deadline usually lies in
+// the crashed process's past, and re-enqueueing a job only to shed it
+// at dequeue would turn every recovery into a loss. A pending job whose
+// request no longer resolves (e.g. an instance that left the registry)
+// fails like a crashed worker's job: journaled, counted, never lost.
 func (s *Server) restoreRecovered(recovered []RecoveredJob) []*Job {
 	var pending []*Job
 	for _, rj := range recovered {
-		if rj.View != nil {
-			job := &Job{ID: rj.ID, key: rj.Key, view: *rj.View, done: make(chan struct{})}
-			job.finished = rj.FinishedAt
+		var err error
+		if rj.View == nil {
+			var job *Job
+			if job, err = s.newJob(&rj.Req, time.Now()); err == nil {
+				job.ID, job.key, job.view.ID = rj.ID, rj.Key, rj.ID
+				s.jobs.addOrGet(job, s.opts.MaxJobs)
+				s.reg.Counter(MetricJournalRecovered).Inc()
+				pending = append(pending, job)
+				continue
+			}
+		}
+		job := &Job{ID: rj.ID, key: rj.Key, done: make(chan struct{})}
+		if err != nil {
+			job.view = JobView{ID: rj.ID, SubmittedAt: rj.SubmittedAt}
+			s.failJob(job, fmt.Errorf("recovery: %w", err))
+		} else {
+			job.view, job.finished = *rj.View, rj.FinishedAt
 			if job.finished.IsZero() {
 				job.finished = time.Now()
 			}
 			close(job.done)
-			s.jobs.addOrGet(job, s.opts.MaxJobs)
 			s.reg.Counter(MetricJournalRestored).Inc()
-			continue
-		}
-		job, err := s.rebuildJob(rj)
-		if err != nil {
-			job = &Job{ID: rj.ID, key: rj.Key, done: make(chan struct{})}
-			job.view = JobView{ID: rj.ID, State: StateDone, Answer: AnswerUndecided,
-				Error: fmt.Sprintf("recovery: %v", err), SubmittedAt: rj.SubmittedAt}
-			job.finished = time.Now()
-			close(job.done)
-			s.jobs.addOrGet(job, s.opts.MaxJobs)
-			continue
 		}
 		s.jobs.addOrGet(job, s.opts.MaxJobs)
-		s.reg.Counter(MetricJournalRecovered).Inc()
-		pending = append(pending, job)
 	}
 	return pending
-}
-
-// rebuildJob reconstructs a runnable job from its journaled request.
-// The deadline restarts from now — the original absolute deadline
-// usually lies in the crashed process's past, and re-enqueueing a job
-// only to shed it at dequeue would turn every recovery into a loss.
-func (s *Server) rebuildJob(rj RecoveredJob) (*Job, error) {
-	req := rj.Req
-	if err := validateKnobs(&req); err != nil {
-		return nil, err
-	}
-	g, width, instName, err := s.resolveProblem(&req)
-	if err != nil {
-		return nil, err
-	}
-	strategies, popts, err := s.resolveRun(&req)
-	if err != nil {
-		return nil, err
-	}
-	deadline := s.effectiveDeadline(req.DeadlineMS)
-	sh := s.classify(g.N())
-	now := time.Now()
-	job := &Job{
-		ID:         rj.ID,
-		key:        rj.Key,
-		g:          g,
-		width:      width,
-		strategies: strategies,
-		popts:      popts,
-		wantColors: req.WantColors,
-		priority:   req.Priority,
-		deadline:   now.Add(deadline),
-		done:       make(chan struct{}),
-	}
-	job.view = JobView{
-		ID:          rj.ID,
-		State:       StateQueued,
-		Instance:    instName,
-		Width:       width,
-		Shard:       sh.cfg.Name,
-		Priority:    priorityName(req.Priority),
-		Vertices:    g.N(),
-		Edges:       g.M(),
-		SubmittedAt: now,
-		DeadlineMS:  deadline.Milliseconds(),
-	}
-	return job, nil
 }
 
 // requeueRecovered feeds the recovered pending jobs back into their
@@ -549,18 +499,13 @@ func (s *Server) rebuildJob(rj RecoveredJob) (*Job, error) {
 // next startup recovers them again.
 func (s *Server) requeueRecovered(pending []*Job) {
 	for _, job := range pending {
-		sh := s.classify(job.view.Vertices)
-		q, n := sh.qi, &sh.ni
-		if job.priority == PriorityBatch {
-			q, n = sh.qb, &sh.nb
-		}
 		s.admit.RLock()
 		if s.draining {
 			s.admit.RUnlock()
 			return
 		}
-		n.Add(1)
-		q <- job
+		job.sh.n[job.class].Add(1)
+		job.sh.q[job.class] <- job
 		s.admit.RUnlock()
 	}
 }
@@ -632,7 +577,7 @@ func (s *Server) Scrape() obs.Snapshot {
 	for _, sh := range s.shards {
 		suffix := "." + sh.cfg.Name
 		s.reg.Gauge(MetricQueueDepth + suffix).Set(int64(sh.queued()))
-		s.reg.Gauge(MetricQueueBatch + suffix).Set(sh.nb.Load())
+		s.reg.Gauge(MetricQueueBatch + suffix).Set(sh.n[classBatch].Load())
 		s.reg.Gauge(MetricWorkersBusy + suffix).Set(sh.busy.Load())
 		ps := sh.pool.Stats()
 		s.reg.Gauge(MetricPoolGets + suffix).Set(ps.Gets)
@@ -696,43 +641,11 @@ func (s *Server) Submit(req SolveRequest) (*Job, error) {
 // with duplicate=true and nothing new is admitted — the client retry
 // contract across crashes and timeouts.
 func (s *Server) SubmitDedup(req SolveRequest) (job *Job, duplicate bool, err error) {
-	if err := validateKnobs(&req); err != nil {
-		return nil, false, err
-	}
-	g, width, instName, err := s.resolveProblem(&req)
-	if err != nil {
-		return nil, false, err
-	}
-	strategies, popts, err := s.resolveRun(&req)
-	if err != nil {
-		return nil, false, err
-	}
-
-	deadline := s.effectiveDeadline(req.DeadlineMS)
-	sh := s.classify(g.N())
 	now := time.Now()
-	job = &Job{
-		key:        req.IdempotencyKey,
-		g:          g,
-		width:      width,
-		strategies: strategies,
-		popts:      popts,
-		wantColors: req.WantColors,
-		priority:   req.Priority,
-		deadline:   now.Add(deadline),
-		done:       make(chan struct{}),
+	if job, err = s.newJob(&req, now); err != nil {
+		return nil, false, err
 	}
-	job.view = JobView{
-		State:       StateQueued,
-		Instance:    instName,
-		Width:       width,
-		Shard:       sh.cfg.Name,
-		Priority:    priorityName(req.Priority),
-		Vertices:    g.N(),
-		Edges:       g.M(),
-		SubmittedAt: now,
-		DeadlineMS:  deadline.Milliseconds(),
-	}
+	sh := job.sh
 
 	s.admit.RLock()
 	defer s.admit.RUnlock()
@@ -762,71 +675,80 @@ func (s *Server) SubmitDedup(req SolveRequest) (job *Job, duplicate bool, err er
 	// Reserve the queue slot before the durable accept: a full queue
 	// must be discovered while no journal record exists, so rejected
 	// submits can never reappear as replayed jobs.
-	slot := sh.reserve(job.priority)
-	if slot == nil {
+	if !sh.reserve(job.class) {
 		releaseProbe()
 		s.reg.Counter(MetricJobsRejected).Inc()
 		retry := sh.adm.retryAfter(sh.queued(), int(sh.busy.Load()), sh.cfg.Workers)
 		return nil, false, &QueueFullError{Shard: sh.cfg.Name, RetryAfter: retry}
 	}
 	job.ID = fmt.Sprintf("j%08d", s.idSeq.Add(1))
-	job.view.ID = job.ID
-	job.probe = probe
+	job.key, job.view.ID, job.probe = req.IdempotencyKey, job.ID, probe
 	if exist, dup := s.jobs.addOrGet(job, s.opts.MaxJobs); dup {
 		// Two submits raced the same fresh idempotency key; the loser
 		// backs out and returns the winner.
-		slot.Add(-1)
+		sh.n[job.class].Add(-1)
 		releaseProbe()
 		return exist, true, nil
 	}
 	// Durable accept: the submit record is fsynced before the job is
 	// published to a worker or the caller — once Submit returns, a
 	// crash cannot lose the job.
-	if jerr := s.journalSubmit(job, &req, now); jerr != nil {
-		slot.Add(-1)
+	rec := journalRecord{Kind: recSubmit, ID: job.ID, Key: job.key, Req: &req, At: now}
+	if jerr := s.journal.append(rec, true); jerr != nil {
+		sh.n[job.class].Add(-1)
 		releaseProbe()
 		s.jobs.remove(job)
-		return nil, false, jerr
+		return nil, false, fmt.Errorf("%w: %v", ErrJournal, jerr)
 	}
-	q := sh.qi
-	if job.priority == PriorityBatch {
-		q = sh.qb
-	}
-	q <- job // cannot block: the slot reservation guarantees room
+	sh.q[job.class] <- job // cannot block: the slot reservation guarantees room
 	s.reg.Counter(MetricJobsSubmitted).Inc()
 	return job, false, nil
 }
 
-// journalSubmit durably records an accepted job (fsync before return);
-// a failure is wrapped in ErrJournal.
-func (s *Server) journalSubmit(job *Job, req *SolveRequest, at time.Time) error {
-	if s.journal == nil {
-		return nil
+// newJob is the one job constructor, shared by submit and recovery: it
+// validates the request's knobs, resolves its conflict graph and lane
+// set, starts its deadline at now and fixes its shard and admission
+// class. The caller binds the job's ID and idempotency key.
+func (s *Server) newJob(req *SolveRequest, now time.Time) (*Job, error) {
+	if err := validateKnobs(req); err != nil {
+		return nil, err
 	}
-	rec := journalRecord{Kind: recSubmit, ID: job.ID, Key: job.key, Req: req, At: at}
-	if err := s.journal.append(rec, true); err != nil {
-		return fmt.Errorf("%w: %v", ErrJournal, err)
+	g, width, instName, err := s.resolveProblem(req)
+	if err != nil {
+		return nil, err
 	}
-	return nil
-}
-
-// journalStart records that a worker picked the job up (advisory — no
-// fsync; replay treats started and queued jobs identically).
-func (s *Server) journalStart(job *Job) {
-	if s.journal == nil {
-		return
+	strategies, popts, err := s.resolveRun(req)
+	if err != nil {
+		return nil, err
 	}
-	_ = s.journal.append(journalRecord{Kind: recStart, ID: job.ID, At: time.Now()}, false)
-}
-
-// journalDone durably records a completed job's result so a restart
-// restores it instead of re-running it.
-func (s *Server) journalDone(job *Job, view JobView) {
-	if s.journal == nil {
-		return
+	deadline := s.effectiveDeadline(req.DeadlineMS)
+	class := classInteractive
+	if req.Priority == PriorityBatch {
+		class = classBatch
 	}
-	rec := journalRecord{Kind: recDone, ID: job.ID, Key: job.key, View: &view, At: time.Now()}
-	_ = s.journal.append(rec, true)
+	job := &Job{
+		g:          g,
+		width:      width,
+		strategies: strategies,
+		popts:      popts,
+		wantColors: req.WantColors,
+		sh:         s.classify(g.N()),
+		class:      class,
+		deadline:   now.Add(deadline),
+		done:       make(chan struct{}),
+	}
+	job.view = JobView{
+		State:       StateQueued,
+		Instance:    instName,
+		Width:       width,
+		Shard:       job.sh.cfg.Name,
+		Priority:    classNames[class],
+		Vertices:    g.N(),
+		Edges:       g.M(),
+		SubmittedAt: now,
+		DeadlineMS:  deadline.Milliseconds(),
+	}
+	return job, nil
 }
 
 // validateKnobs bounds-checks every numeric solve knob before any
@@ -856,15 +778,6 @@ func validateKnobs(req *SolveRequest) error {
 		return badRequest("priority must be %q or %q, got %q", PriorityInteractive, PriorityBatch, req.Priority)
 	}
 	return nil
-}
-
-// priorityName normalizes the priority for job views ("" means
-// interactive).
-func priorityName(p string) string {
-	if p == "" {
-		return PriorityInteractive
-	}
-	return p
 }
 
 // resolveProblem turns the request's instance name or inline DIMACS
@@ -967,57 +880,26 @@ func (s *Server) JobCount() int { return s.jobs.len() }
 // feeds the shard's breaker) instead of killing the process.
 func (s *Server) worker(sh *shard) {
 	defer s.workers.Done()
-	qi, qb := sh.qi, sh.qb
-	for qi != nil || qb != nil {
+	qs := sh.q // a class's entry goes nil once Drain closed and emptied it
+	for qs[classInteractive] != nil || qs[classBatch] != nil {
+		// Interactive first: a batch job is taken only when no
+		// interactive job is waiting.
 		var job *Job
-		var ok bool
-		var fromBatch bool
-		// Interactive first: only when no interactive job is waiting may
-		// a batch job be picked up.
-		if qi != nil {
+		class := classInteractive
+		select {
+		case job = <-qs[classInteractive]:
+		default:
 			select {
-			case job, ok = <-qi:
-				if !ok {
-					qi = nil
-					continue
-				}
-			default:
+			case job = <-qs[classInteractive]:
+			case job = <-qs[classBatch]:
+				class = classBatch
 			}
 		}
-		if job == nil {
-			switch {
-			case qi != nil && qb != nil:
-				select {
-				case job, ok = <-qi:
-					if !ok {
-						qi = nil
-						continue
-					}
-				case job, ok = <-qb:
-					if !ok {
-						qb = nil
-						continue
-					}
-					fromBatch = true
-				}
-			case qi != nil:
-				if job, ok = <-qi; !ok {
-					qi = nil
-					continue
-				}
-			default:
-				if job, ok = <-qb; !ok {
-					qb = nil
-					continue
-				}
-				fromBatch = true
-			}
+		if job == nil { // only a closed queue yields nil
+			qs[class] = nil
+			continue
 		}
-		if fromBatch {
-			sh.nb.Add(-1)
-		} else {
-			sh.ni.Add(-1)
-		}
+		sh.n[class].Add(-1)
 		robust.Hit(robust.FPServeDequeue, sh.cfg.Name)
 		sh.busy.Add(1)
 		s.superviseJob(sh, job)
@@ -1027,8 +909,8 @@ func (s *Server) worker(sh *shard) {
 
 // superviseJob runs one job under a panic boundary. A panic in the
 // serve layer itself (not in a solver lane — those have their own
-// supervision) fails the job, journals the failure and counts as a
-// supervision failure for the shard's breaker.
+// supervision) fails the job and counts as a supervision failure for
+// the shard's breaker.
 func (s *Server) superviseJob(sh *shard, job *Job) {
 	perr := robust.Capture("serve worker "+sh.cfg.Name, func() {
 		s.runJob(sh, job)
@@ -1036,12 +918,7 @@ func (s *Server) superviseJob(sh *shard, job *Job) {
 	if perr == nil {
 		return
 	}
-	s.reg.Counter(MetricJobsFailed).Inc()
-	view := s.finishJob(job, func(v *JobView) {
-		v.Answer = AnswerUndecided
-		v.Error = perr.Error()
-	})
-	s.journalDone(job, view)
+	s.failJob(job, perr)
 	s.breakerResult(sh, job, true)
 }
 
@@ -1062,13 +939,12 @@ func (s *Server) shedJob(sh *shard, job *Job, queued time.Duration, reason strin
 	} else {
 		s.reg.Counter(MetricShedDeadline).Inc()
 	}
-	view := s.finishJob(job, func(v *JobView) {
+	s.finishJob(job, func(v *JobView) {
 		v.Answer = AnswerUndecided
 		v.Shed = true
 		v.QueuedMS = queued.Milliseconds()
 		v.Error = fmt.Sprintf("serve: shed at dequeue (%s): queued %v", reason, queued.Round(time.Millisecond))
 	})
-	s.journalDone(job, view)
 	// Shedding is overload, not poison: the breaker learns nothing, and
 	// a shed probe releases its claim so the next submit probes instead.
 	if job.probe && sh.brk != nil {
@@ -1076,21 +952,43 @@ func (s *Server) shedJob(sh *shard, job *Job, queued time.Duration, reason strin
 	}
 }
 
-// finishJob transitions a job to done exactly once (workers, the shed
-// path and the panic boundary can race on a crashing worker), applies
-// mutate to the view and closes the done channel. It returns the final
-// view for journaling.
-func (s *Server) finishJob(job *Job, mutate func(v *JobView)) JobView {
+// failJob completes a job that ended in an error without an answer: a
+// serve-worker panic, or a journaled request that no longer resolves.
+func (s *Server) failJob(job *Job, err error) {
+	s.finishJob(job, func(v *JobView) {
+		v.Answer = AnswerUndecided
+		v.Error = err.Error()
+		s.reg.Counter(MetricJobsFailed).Inc()
+	})
+}
+
+// finishJob is the one completion path. It claims the job exactly once
+// (the worker, the shed path and the panic boundary can race on a
+// crashing worker), applies mutate to a copy of the view and journals
+// the result; only then does it publish the view and close the done
+// channel, so no reader sees a result a crash could still lose. A
+// failed journal append is still published.
+func (s *Server) finishJob(job *Job, mutate func(v *JobView)) {
 	job.mu.Lock()
-	defer job.mu.Unlock()
-	if job.view.State != StateDone {
-		job.view.State = StateDone
-		mutate(&job.view)
-		job.finished = time.Now()
+	claimed := !job.finishing
+	job.finishing = true
+	view := job.view
+	job.mu.Unlock()
+	if !claimed {
+		return
+	}
+	finished := time.Now()
+	// Publish even when mutate or the append panics, so no waiter hangs.
+	defer func() {
+		job.mu.Lock()
+		job.view, job.finished = view, finished
+		job.mu.Unlock()
 		s.reg.Counter(MetricJobsCompleted).Inc()
 		close(job.done)
-	}
-	return job.view
+	}()
+	view.State = StateDone
+	mutate(&view)
+	_ = s.journal.append(journalRecord{Kind: recDone, ID: job.ID, Key: job.key, View: &view, At: finished}, true)
 }
 
 // runJob executes one job end to end and publishes its result.
@@ -1117,7 +1015,8 @@ func (s *Server) runJob(sh *shard, job *Job) {
 	job.view.QueuedMS = queued.Milliseconds()
 	job.mu.Unlock()
 	robust.Hit(robust.FPServeWorker, job.ID, sh.cfg.Name)
-	s.journalStart(job)
+	// Advisory, no fsync: replay treats started and queued jobs alike.
+	_ = s.journal.append(journalRecord{Kind: recStart, ID: job.ID, At: time.Now()}, false)
 
 	ctx, cancel := context.WithDeadline(s.baseCtx, job.deadline)
 	popts := job.popts
@@ -1129,7 +1028,7 @@ func (s *Server) runJob(sh *shard, job *Job) {
 	cancel()
 	sh.adm.observe(elapsed)
 
-	view := s.finishJob(job, func(v *JobView) {
+	s.finishJob(job, func(v *JobView) {
 		v.SolveMS = elapsed.Milliseconds()
 		v.Lanes = laneViews(all)
 		switch {
@@ -1158,7 +1057,6 @@ func (s *Server) runJob(sh *shard, job *Job) {
 			}
 		}
 	})
-	s.journalDone(job, view)
 	s.breakerResult(sh, job, supervisionFailure(err, all))
 }
 
@@ -1250,8 +1148,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	if !s.draining {
 		s.draining = true
 		for _, sh := range s.shards {
-			close(sh.qi)
-			close(sh.qb)
+			for _, q := range sh.q {
+				close(q)
+			}
 		}
 		close(s.stopGC)
 	}
@@ -1318,8 +1217,8 @@ func (s *Server) Readiness() (bool, []ShardStatus) {
 		st := ShardStatus{
 			Name:    sh.cfg.Name,
 			Breaker: "disabled",
-			Queued:  int(sh.ni.Load()),
-			Cap:     cap(sh.qi),
+			Queued:  int(sh.n[classInteractive].Load()),
+			Cap:     cap(sh.q[classInteractive]),
 		}
 		open := false
 		if sh.brk != nil {

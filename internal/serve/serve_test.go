@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -19,7 +20,7 @@ const triangleCol = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 
 // newTestServer builds a server with a compact single-shard layout
 // unless cfg overrides it, and drains it at test end.
-func newTestServer(t *testing.T, opts Options) *Server {
+func newTestServer(t testing.TB, opts Options) *Server {
 	t.Helper()
 	if opts.Shards == nil {
 		opts.Shards = []ShardConfig{{Name: "only", MaxVertices: 0, Workers: 2, QueueDepth: 16}}
@@ -386,4 +387,39 @@ func TestInstanceCacheIsReused(t *testing.T) {
 	if _, err := graph.ParseDIMACS(strings.NewReader(triangleCol)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzSolveRequest feeds arbitrary JSON through the shared job
+// constructor: every request either fails with a *RequestError or
+// yields a runnable job — width at least 1, at least one strategy and a
+// shard — and none panics.
+func FuzzSolveRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"graph":"p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n","width":3}`,
+		`{"instance":"term1","priority":"batch","portfolio":true,"lanes":2}`,
+		`{"instance":"term1","strategy":"log/-","share":true,"deadline_ms":5}`,
+		`{"graph":"p edge 2 1\ne 1 2\n","width":-1,"priority":"urgent"}`,
+		`{"instance":"no-such-instance","max_retries":3,"conflict_budget":100}`,
+		`{}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	s := newTestServer(f, Options{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req SolveRequest
+		if json.Unmarshal(data, &req) != nil {
+			return
+		}
+		job, err := s.newJob(&req, time.Now())
+		if err != nil {
+			var reqErr *RequestError
+			if !errors.As(err, &reqErr) {
+				t.Fatalf("request %s: error %v is not a *RequestError", data, err)
+			}
+			return
+		}
+		if job.width < 1 || len(job.strategies) == 0 || job.sh == nil {
+			t.Fatalf("request %s: job width %d, %d strategies, shard %v", data, job.width, len(job.strategies), job.sh)
+		}
+	})
 }
